@@ -23,6 +23,8 @@ struct SwitchCostParams {
   double pll_relock_us = 200.0;   ///< PLL disable + reprogram + lock (paper: ~200 us).
   double hse_startup_us = 2000.0; ///< Crystal startup from cold.
   double vos_change_us = 40.0;    ///< Regulator scale transition settle time.
+
+  [[nodiscard]] bool operator==(const SwitchCostParams&) const = default;
 };
 
 /// Cost of one switch, broken down for profiling.

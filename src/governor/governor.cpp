@@ -119,7 +119,7 @@ ScheduleGovernor::ScheduleGovernor(const graph::Model& model,
     sorted_rungs.push_back(std::move(rungs_[idx]));
     sorted_schedules.push_back(std::move(schedules_[idx]));
   }
-  rungs_ = std::move(sorted_rungs);
+  set_rungs(std::move(sorted_rungs));
   schedules_ = std::move(sorted_schedules);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -146,15 +145,13 @@ int PlanningPolicy::choose(const scenario::FrameContext& ctx,
   if (cfg_.horizon == 0 || base < 0) return base;
   if (replans_ != nullptr) replans_->add();
 
-  std::optional<scenario::WakeState> wake0 = ctx.wake;
-  if (!wake0 && current_rung >= 0) {
-    wake0 = scenario::WakeState::after(
-        rungs_[static_cast<std::size_t>(current_rung)]);
-  }
+  std::vector<scenario::TransitionCost> repriced;
+  const scenario::TransitionCost* const wake0 =
+      wake_row(ctx, current_rung, repriced);
   auto slot0_cost = [&](int rung_idx) -> std::pair<double, double> {
     const scenario::RungInfo& r = rungs_[static_cast<std::size_t>(rung_idx)];
-    scenario::TransitionCost trans;
-    if (wake0) trans = scenario::wake_transition(*wake0, r, switching_, pm_);
+    const scenario::TransitionCost trans =
+        wake0 != nullptr ? wake0[rung_idx] : scenario::TransitionCost{};
     return {trans.us + r.t_us, trans.uj + r.e_uj};
   };
 
@@ -197,7 +194,7 @@ int PlanningPolicy::choose(const scenario::FrameContext& ctx,
     PlanCost cost;
     double t = ctx.time_s;
     std::uint32_t backlog = ctx.backlog;
-    std::optional<scenario::WakeState> wake = wake0;
+    const scenario::TransitionCost* wake = wake0;
     for (std::uint32_t slot = 0; slot < cfg_.horizon; ++slot) {
       scenario::FrameContext f;
       f.time_s = t;
@@ -218,15 +215,14 @@ int PlanningPolicy::choose(const scenario::FrameContext& ctx,
       }
       const bool served = slot == 0 || !fc.gated() || fc.connected_at(t);
       if (served) {
-        f.wake = wake;
-        const int r = slot == 0 ? first : raw_pick(f, wake, false);
+        const int r = slot == 0 ? first : raw_pick(f, wake);
         if (r < 0) break;
         const scenario::RungInfo& ri = rungs_[static_cast<std::size_t>(r)];
-        scenario::TransitionCost trans;
-        if (wake) trans = scenario::wake_transition(*wake, ri, switching_, pm_);
+        const scenario::TransitionCost trans =
+            wake != nullptr ? wake[r] : scenario::TransitionCost{};
         if (trans.us + ri.t_us > f.deadline_us + kEps) ++cost.misses;
         cost.e_uj += trans.uj + ri.e_uj;
-        wake = scenario::WakeState::after(ri);
+        wake = table_.row(table_.exit_id(r));
         if (backlog > 0) --backlog;
       } else if (backlog < std::numeric_limits<std::uint32_t>::max()) {
         ++backlog;  // the capture queues behind the closed window
@@ -278,7 +274,7 @@ int PlanningPolicy::predict_next(const scenario::FrameContext& ctx,
   next.backlog = ctx.backlog > 0 ? ctx.backlog - 1 : 0;
   next.window_remaining_s = fc.window_remaining_at(t_next);
   next.harvest_mw = fc.harvest_mw_at(t_next);
-  return raw_pick(next, std::nullopt, /*free_wake=*/true);
+  return raw_pick(next, table_.free_wake());
 }
 
 }  // namespace daedvfs::governor

@@ -90,6 +90,8 @@ struct PowerModelParams {
   double mem_stall_activity = 0.30;     ///< Pipeline stalled on the bus.
   double idle_activity = 0.55;          ///< Busy-wait idle loop (no WFI).
   double gated_idle_mw = 11.0;          ///< Clock-gated idle floor (abs.).
+
+  [[nodiscard]] bool operator==(const PowerModelParams&) const = default;
 };
 
 /// Pure function from (state, activity) to milliwatts.

@@ -107,63 +107,90 @@ std::vector<Event> sorted_by_time(const std::vector<Event>& events) {
   return sorted;
 }
 
+/// One node's mission state: its borrowed spec, ranges into the batch's
+/// shared event and backlog arenas, and everything the slot loop reads and
+/// writes. Distinct nodes touch distinct NodeStates, which is what makes
+/// concurrent run() calls on different nodes safe.
+struct NodeState {
+  const MissionSpec* spec = nullptr;
+  // Sorted mission-event timelines: [begin, begin + count) of each arena.
+  std::uint32_t qos_begin = 0, qos_count = 0;
+  std::uint32_t temp_begin = 0, temp_count = 0;
+  std::uint32_t harvest_begin = 0, harvest_count = 0;
+  std::uint32_t reset_begin = 0, reset_count = 0;
+  // Backlog ring: [queue_off, queue_off + queue_cap) of the queue slab.
+  std::size_t queue_off = 0;
+  std::uint32_t queue_cap = 0, queue_head = 0, queue_len = 0;
+
+  Connectivity link;
+  IntervalSet outages;
+  // Radio burst price, plus the duty-cycling split: payload-only cost of a
+  // follow frame riding an already-ramped PA, and the batch bound (1 =
+  // per-frame).
+  double radio_us = 0.0, radio_uj = 0.0;
+  double radio_follow_us = 0.0, radio_follow_uj = 0.0;
+  std::uint32_t radio_batch = 1;
+  bool radio_enabled = false;
+
+  power::Battery battery;
+  Xorshift64 rng, fault_rng;  ///< Jitter + fault streams.
+
+  double now_s = 0.0, slack = 0.0, ambient_c = 25.0, harvest_mw = 0.0;
+  double down_until_s = 0.0, next_ckpt_s = 0.0, miss_ewma = 0.0;
+  int cur = -1;        ///< Rung of the last served frame.
+  int predicted = -1;  ///< Pre-locked rung awaiting its wake.
+  int wake = -1;       ///< Clock-tree state (WakeTable id); -1 = cold start.
+  bool prelock_pending = false, ran = false;
+  std::uint32_t next_event = 0, next_temp = 0, next_harvest = 0;
+  std::uint32_t next_reset = 0, shed_countdown = 0;
+  GovernorCheckpoint ckpt;
+
+  NodeState(const MissionSpec& s, const power::RadioModel& radio)
+      : spec(&s),
+        link(s.connectivity),
+        radio_us(radio.tx_us()),
+        radio_uj(radio.tx_uj()),
+        radio_follow_us(radio.payload_us()),
+        radio_follow_uj(radio.payload_uj()),
+        radio_batch(std::max<std::uint32_t>(s.radio_batch_frames, 1)),
+        radio_enabled(radio.enabled()),
+        battery(s.battery),
+        rng(s.seed),
+        fault_rng(s.seed ^ kFaultStreamSalt),
+        slack(s.base_qos_slack),
+        ambient_c(s.base_ambient_c),
+        harvest_mw(std::max(s.base_harvest_mw, 0.0)),
+        next_ckpt_s(s.faults.reboot.checkpoint_interval_s) {
+    if (s.base_ambient_c != 25.0) battery.set_ambient_c(s.base_ambient_c);
+  }
+};
+
 }  // namespace
 
-/// The structure-of-arrays state block: every per-node quantity the slot
-/// loop touches is a flat vector indexed by node, and variable-length
-/// per-node timelines (sorted event copies, backlog rings) are packed into
-/// shared arenas with per-node [begin, begin+count) ranges. add() fills a
-/// node's slots; run() binds references into them and executes the loop —
-/// distinct nodes touch disjoint slots, which is what makes concurrent
-/// run() calls on different nodes safe.
+/// The batch: one NodeState per node plus the shared arenas for event
+/// timelines and backlog rings, and the wake-transition table every node's
+/// frames are priced from. add() fills a node's state; run() executes the
+/// slot loop on it.
 struct MissionBatch::Block {
   const SchedulePolicy& policy;
   const double t_base_us;
-  const sim::SimParams sim;  ///< Copied: the batch outlives the caller's ref.
-  const power::PowerModel pm;
+  /// policy.rungs() priced with the batch's SimParams (switch costs, power
+  /// model, boot clock): the engine's wake transitions and pre-locks,
+  /// handed to the policy through FrameContext.
+  const WakeTable wakes;
   double max_peak_mhz = 0.0;
 
-  // ---- Per-node arrays (index = node id within the batch) --------------
-  std::vector<const MissionSpec*> spec;
-
-  // Sorted mission-event timelines, flattened into shared arenas.
+  std::vector<NodeState> nodes;
   std::vector<QosEvent> qos_arena;
-  std::vector<std::uint32_t> qos_begin, qos_count;
   std::vector<TempEvent> temp_arena;
-  std::vector<std::uint32_t> temp_begin, temp_count;
   std::vector<HarvestEvent> harvest_arena;
-  std::vector<std::uint32_t> harvest_begin, harvest_count;
   std::vector<ResetEvent> reset_arena;
-  std::vector<std::uint32_t> reset_begin, reset_count;
-
-  std::vector<Connectivity> link;
-  std::vector<IntervalSet> outages;
-  std::vector<double> radio_us, radio_uj;
-  // Duty-cycling split (PR 10): payload-only cost of a follow frame riding
-  // an already-ramped PA, plus the per-node batch bound (1 = per-frame).
-  std::vector<double> radio_follow_us, radio_follow_uj;
-  std::vector<std::uint32_t> radio_batch;
-  std::vector<std::uint8_t> radio_enabled;
-
-  // Backlog rings: one shared slab, node i owns [off[i], off[i] + cap[i]).
   std::vector<double> queue_slab;
-  std::vector<std::size_t> queue_off;
-  std::vector<std::uint32_t> queue_cap, queue_head, queue_len;
-
-  std::vector<power::Battery> battery;
-  std::vector<Xorshift64> rng, fault_rng;  ///< Jitter + fault streams.
-
-  std::vector<double> now_s, slack, ambient_c, harvest_mw;
-  std::vector<double> down_until_s, next_ckpt_s, miss_ewma;
-  std::vector<int> cur, predicted;
-  std::vector<WakeState> wake;
-  std::vector<std::uint8_t> wake_set, prelock_pending, ran;
-  std::vector<std::uint32_t> next_event, next_temp, next_harvest, next_reset;
-  std::vector<GovernorCheckpoint> ckpt;
-  std::vector<std::uint32_t> shed_countdown;
 
   Block(const SchedulePolicy& p, double tb, const sim::SimParams& s)
-      : policy(p), t_base_us(tb), sim(s), pm(s.power) {
+      : policy(p),
+        t_base_us(tb),
+        wakes(p.rungs(), s.switching, power::PowerModel(s.power), s.boot) {
     for (const RungInfo& rung : p.rungs()) {
       max_peak_mhz = std::max(max_peak_mhz, rung.peak_mhz());
     }
@@ -176,83 +203,46 @@ MissionBatch::MissionBatch(const SchedulePolicy& policy, double t_base_us,
 
 MissionBatch::~MissionBatch() = default;
 
-std::size_t MissionBatch::size() const { return b_->spec.size(); }
+std::size_t MissionBatch::size() const { return b_->nodes.size(); }
 
 std::size_t MissionBatch::add(const MissionSpec& s) {
   Block& b = *b_;
-  const std::size_t i = b.spec.size();
-  b.spec.push_back(&s);
+  NodeState& n = b.nodes.emplace_back(s, power::RadioModel(s.radio));
 
-  const auto append = [](auto& arena, auto& begin, auto& count,
-                         const auto& sorted) {
-    begin.push_back(static_cast<std::uint32_t>(arena.size()));
-    count.push_back(static_cast<std::uint32_t>(sorted.size()));
+  const auto append = [](auto& arena, std::uint32_t& begin,
+                         std::uint32_t& count, const auto& sorted) {
+    begin = static_cast<std::uint32_t>(arena.size());
+    count = static_cast<std::uint32_t>(sorted.size());
     arena.insert(arena.end(), sorted.begin(), sorted.end());
   };
-  append(b.qos_arena, b.qos_begin, b.qos_count, sorted_by_time(s.qos_events));
-  append(b.temp_arena, b.temp_begin, b.temp_count,
+  append(b.qos_arena, n.qos_begin, n.qos_count, sorted_by_time(s.qos_events));
+  append(b.temp_arena, n.temp_begin, n.temp_count,
          sorted_by_time(s.temp_events));
-  append(b.harvest_arena, b.harvest_begin, b.harvest_count,
+  append(b.harvest_arena, n.harvest_begin, n.harvest_count,
          sorted_by_time(s.harvest_events));
-  append(b.reset_arena, b.reset_begin, b.reset_count,
+  append(b.reset_arena, n.reset_begin, n.reset_count,
          sorted_by_time(s.faults.resets));
 
-  b.link.emplace_back(s.connectivity);
   std::vector<std::pair<double, double>> outage_spans;
   outage_spans.reserve(s.faults.radio.outages.size());
   for (const Outage& o : s.faults.radio.outages) {
     outage_spans.emplace_back(o.start_s, o.duration_s);
   }
-  b.outages.push_back(IntervalSet::from_spans(outage_spans));
-  const power::RadioModel radio(s.radio);
-  b.radio_us.push_back(radio.tx_us());
-  b.radio_uj.push_back(radio.tx_uj());
-  b.radio_follow_us.push_back(radio.payload_us());
-  b.radio_follow_uj.push_back(radio.payload_uj());
-  b.radio_batch.push_back(std::max<std::uint32_t>(s.radio_batch_frames, 1));
-  b.radio_enabled.push_back(radio.enabled() ? 1 : 0);
+  n.outages = IntervalSet::from_spans(outage_spans);
 
   // Ring region: queue bound + 1 (push-then-evict never wraps onto live
   // entries).
   const std::uint32_t cap = std::max<std::uint32_t>(s.uplink_queue_frames, 1);
-  b.queue_off.push_back(b.queue_slab.size());
-  b.queue_cap.push_back(cap + 1);
+  n.queue_off = b.queue_slab.size();
+  n.queue_cap = cap + 1;
   b.queue_slab.resize(b.queue_slab.size() + cap + 1);
-  b.queue_head.push_back(0);
-  b.queue_len.push_back(0);
-
-  b.battery.emplace_back(s.battery);
-  b.rng.emplace_back(s.seed);
-  b.fault_rng.emplace_back(s.seed ^ kFaultStreamSalt);
-
-  b.now_s.push_back(0.0);
-  b.slack.push_back(s.base_qos_slack);
-  b.ambient_c.push_back(s.base_ambient_c);
-  if (s.base_ambient_c != 25.0) {
-    b.battery.back().set_ambient_c(s.base_ambient_c);
-  }
-  b.harvest_mw.push_back(std::max(s.base_harvest_mw, 0.0));
-  b.down_until_s.push_back(0.0);
-  b.next_ckpt_s.push_back(s.faults.reboot.checkpoint_interval_s);
-  b.miss_ewma.push_back(0.0);
-  b.cur.push_back(-1);
-  b.predicted.push_back(-1);
-  b.wake.emplace_back();
-  b.wake_set.push_back(0);
-  b.prelock_pending.push_back(0);
-  b.ran.push_back(0);
-  b.next_event.push_back(0);
-  b.next_temp.push_back(0);
-  b.next_harvest.push_back(0);
-  b.next_reset.push_back(0);
-  b.ckpt.emplace_back();
-  b.shed_countdown.push_back(0);
-  return i;
+  return b.nodes.size() - 1;
 }
 
 MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
   Block& b = *b_;
-  const MissionSpec& spec = *b.spec.at(node);
+  NodeState& n = b.nodes.at(node);
+  const MissionSpec& spec = *n.spec;
   const SchedulePolicy& policy = b.policy;
 
   MissionReport r;
@@ -263,8 +253,8 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
   if (rungs.empty() || b.t_base_us <= 0.0 || spec.duty.period_s <= 0.0) {
     return r;
   }
-  assert(!b.ran[node] && "MissionBatch::run consumes a node's state");
-  b.ran[node] = 1;
+  assert(!n.ran && "MissionBatch::run consumes a node's state");
+  n.ran = true;
 
   // ---- Observability (obs/). Emission only: every site below is gated on
   // the recorder pointer and reads engine state without feeding back — the
@@ -281,25 +271,16 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
   }
   int link_traced = -1;  ///< Connectivity span state: -1 unknown, 0/1 down/up.
 
-  // ---- Bind node `node`'s state slots. Everything below reads and writes
-  // the SoA block; the loop body is the pre-batch scalar engine verbatim,
-  // which is what keeps batched reports bit-identical to standalone ones.
-  const power::PowerModel& pm = b.pm;
-  power::Battery& battery = b.battery[node];
-  const QosEvent* const qos_events = b.qos_arena.data() + b.qos_begin[node];
-  const std::uint32_t qos_count = b.qos_count[node];
-  const TempEvent* const temp_events = b.temp_arena.data() + b.temp_begin[node];
-  const std::uint32_t temp_count = b.temp_count[node];
+  // ---- Bind node `node`'s state. A standalone mission runs this same
+  // loop on a batch of one, which is what keeps batched reports
+  // bit-identical to standalone ones.
+  const WakeTable& wakes = b.wakes;
+  power::Battery& battery = n.battery;
+  const QosEvent* const qos_events = b.qos_arena.data() + n.qos_begin;
+  const TempEvent* const temp_events = b.temp_arena.data() + n.temp_begin;
   const HarvestEvent* const harvest_events =
-      b.harvest_arena.data() + b.harvest_begin[node];
-  const std::uint32_t harvest_count = b.harvest_count[node];
-  const double radio_us = b.radio_us[node];
-  const double radio_uj = b.radio_uj[node];
-  const double radio_follow_us = b.radio_follow_us[node];
-  const double radio_follow_uj = b.radio_follow_uj[node];
-  const std::uint32_t radio_batch = b.radio_batch[node];
-  Connectivity& link = b.link[node];
-  Xorshift64& rng = b.rng[node];
+      b.harvest_arena.data() + n.harvest_begin;
+  Connectivity& link = n.link;
   const double max_peak_mhz = b.max_peak_mhz;
 
   // ---- Fault machinery (scenario/faults.hpp). Every fault path below is
@@ -308,63 +289,67 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
   // branches, consumes no fault draws, and reproduces the fault-free engine
   // bit for bit (pinned by the golden report).
   const FaultSpec& faults = spec.faults;
-  const bool lossy = b.radio_enabled[node] != 0 && faults.radio.enabled();
-  IntervalSet& outages = b.outages[node];
-  Xorshift64& fault_rng = b.fault_rng[node];
+  const bool lossy = n.radio_enabled && faults.radio.enabled();
   // An attempt fails inside a hard outage unconditionally (no draw), else
   // by the per-attempt loss probability. Attempt times are non-decreasing
   // across the mission, matching the IntervalSet query contract.
   auto tx_attempt_fails = [&](double t) {
-    if (!outages.empty() && outages.contains(t)) return true;
+    if (!n.outages.empty() && n.outages.contains(t)) return true;
     return faults.radio.loss_prob > 0.0 &&
-           fault_rng.next_unit() < faults.radio.loss_prob;
+           n.fault_rng.next_unit() < faults.radio.loss_prob;
   };
-  const ResetEvent* const resets = b.reset_arena.data() + b.reset_begin[node];
-  const std::uint32_t reset_count = b.reset_count[node];
-  std::uint32_t& next_reset = b.next_reset[node];
-  double& down_until_s = b.down_until_s[node];
+  const ResetEvent* const resets = b.reset_arena.data() + n.reset_begin;
   const RebootSpec& reboot = faults.reboot;
   const bool ckpt_on = reboot.checkpointed();
-  double& next_ckpt_s = b.next_ckpt_s[node];
-  GovernorCheckpoint& ckpt = b.ckpt[node];
   const DegradedModeSpec& degraded = faults.degraded;
   const bool degraded_on = degraded.enabled();
-  double& miss_ewma = b.miss_ewma[node];  ///< Miss pressure (served frames).
-  std::uint32_t& shed_countdown = b.shed_countdown[node];
 
-  double& now_s = b.now_s[node];
-  double& slack = b.slack[node];
-  double& ambient_c = b.ambient_c[node];
-  double& harvest_mw = b.harvest_mw[node];
-  const bool has_harvest = harvest_mw > 0.0 || harvest_count > 0;
-  std::uint32_t& next_event = b.next_event[node];
-  std::uint32_t& next_temp = b.next_temp[node];
-  std::uint32_t& next_harvest = b.next_harvest[node];
-  int& cur = b.cur[node];
-  WakeState& wake = b.wake[node];  ///< Clock tree state across sleeps.
-  std::uint8_t& wake_set = b.wake_set[node];
-  BacklogRing queue(b.queue_slab.data() + b.queue_off[node],
-                    b.queue_cap[node], b.queue_head[node],
-                    b.queue_len[node]);  ///< Capture times awaiting service.
+  double& now_s = n.now_s;
+  double& slack = n.slack;
+  double& ambient_c = n.ambient_c;
+  double& harvest_mw = n.harvest_mw;
+  const bool has_harvest = harvest_mw > 0.0 || n.harvest_count > 0;
+  int& cur = n.cur;
+  int& wake = n.wake;
+  BacklogRing queue(b.queue_slab.data() + n.queue_off, n.queue_cap,
+                    n.queue_head, n.queue_len);  ///< Captures awaiting service.
   const std::size_t queue_cap =
       std::max<std::uint32_t>(spec.uplink_queue_frames, 1);
-  int& predicted = b.predicted[node];  ///< Pre-locked rung awaiting its wake.
-  std::uint8_t& prelock_pending = b.prelock_pending[node];
 
   if (tr != nullptr) {
     tr->counter(obs::Track::kEnv, "qos_slack", 0.0, slack);
     tr->counter(obs::Track::kEnv, "ambient_c", 0.0, ambient_c);
     if (has_harvest) tr->counter(obs::Track::kEnv, "harvest_mw", 0.0, harvest_mw);
   }
-  /// Battery SoC + backlog depth counter samples at a slot boundary.
-  const auto trace_slot_counters = [&](double end_s) {
-    if (tr == nullptr) return;
-    tr->counter(obs::Track::kBattery, "soc_mwh", end_s * 1e6,
-                battery.remaining_mwh());
-    if (link.gated()) {
-      tr->counter(obs::Track::kBacklog, "queue_depth", end_s * 1e6,
-                  static_cast<double>(queue.size()));
+  /// Closes a slot of `step_s`: the active harvest intake charges the
+  /// battery over the whole span (the sun does not care what the MCU or
+  /// the uplink is doing), scaled by panel thermal derating, rate-capped
+  /// and clamped at capacity inside Battery::charge — skipped once
+  /// depleted: a browned-out node is dead, charge never revives it, so
+  /// depletion semantics match the discharge-only engine exactly. Then the
+  /// battery SoC + backlog depth counters are sampled and time advances.
+  const auto end_slot = [&](double step_s) {
+    if (has_harvest && !battery.depleted()) {
+      r.harvested_mwh += battery.charge(
+          step_s, effective_intake_mw(spec, harvest_mw, ambient_c));
     }
+    if (tr != nullptr) {
+      const double end_us = (now_s + step_s) * 1e6;
+      tr->counter(obs::Track::kBattery, "soc_mwh", end_us,
+                  battery.remaining_mwh());
+      if (link.gated()) {
+        tr->counter(obs::Track::kBacklog, "queue_depth", end_us,
+                    static_cast<double>(queue.size()));
+      }
+    }
+    now_s += step_s;
+  };
+  /// A slot that runs nothing: it sleeps whole at `draw_mw` (0 while the
+  /// node is down rebooting — only self-discharge), then closes.
+  const auto sleep_slot = [&](double period_s, double draw_mw) {
+    r.sleep_uj += std::max(draw_mw, 0.0) * period_s * 1e3;
+    battery.elapse(period_s, draw_mw);
+    end_slot(period_s);
   };
 
   // One frame is *captured* per duty-cycle slot. While the uplink is gated
@@ -377,22 +362,22 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       break;
     }
     bool slack_changed = false;
-    while (next_event < qos_count &&
-           qos_events[next_event].at_s <= now_s) {
-      slack = qos_events[next_event++].qos_slack;
+    while (n.next_event < n.qos_count &&
+           qos_events[n.next_event].at_s <= now_s) {
+      slack = qos_events[n.next_event++].qos_slack;
       slack_changed = true;
     }
     bool ambient_changed = false;
-    while (next_temp < temp_count &&
-           temp_events[next_temp].at_s <= now_s) {
-      ambient_c = temp_events[next_temp++].ambient_c;
+    while (n.next_temp < n.temp_count &&
+           temp_events[n.next_temp].at_s <= now_s) {
+      ambient_c = temp_events[n.next_temp++].ambient_c;
       ambient_changed = true;
     }
     if (ambient_changed) battery.set_ambient_c(ambient_c);
     bool harvest_changed = false;
-    while (next_harvest < harvest_count &&
-           harvest_events[next_harvest].at_s <= now_s) {
-      harvest_mw = std::max(harvest_events[next_harvest++].intake_mw, 0.0);
+    while (n.next_harvest < n.harvest_count &&
+           harvest_events[n.next_harvest].at_s <= now_s) {
+      harvest_mw = std::max(harvest_events[n.next_harvest++].intake_mw, 0.0);
       harvest_changed = true;
     }
     if (tr != nullptr) {
@@ -415,9 +400,9 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     // the governor either restores the last checkpoint (rung preference,
     // miss EWMA, queued frames captured at or before it) or cold-boots
     // (everything queued is dropped).
-    while (next_reset < reset_count &&
-           resets[next_reset].at_s <= now_s) {
-      ++next_reset;
+    while (n.next_reset < n.reset_count &&
+           resets[n.next_reset].at_s <= now_s) {
+      ++n.next_reset;
       ++r.resets;
       if (tr != nullptr) {
         tr->complete(obs::Track::kFaults, "reboot", now_s * 1e6,
@@ -426,39 +411,38 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       const double boot_uj = std::max(reboot.boot_uj, 0.0);
       battery.drain_uj(boot_uj);
       r.boot_uj += boot_uj;
-      down_until_s = std::max(down_until_s,
+      n.down_until_s = std::max(n.down_until_s,
                               now_s + std::max(reboot.boot_s, 0.0));
-      if (prelock_pending) {
+      if (n.prelock_pending) {
         ++r.prelock_misses;
-        prelock_pending = false;
+        n.prelock_pending = false;
         if (tr != nullptr) {
           tr->instant(obs::Track::kGovernor, "prelock_miss", now_s * 1e6);
         }
       }
-      predicted = -1;
-      wake = WakeState::at(b.sim.boot);
-      wake_set = 1;
+      n.predicted = -1;
+      wake = wakes.boot_id();
       // Any horizon plan a forecast-aware governor rolled forward dies with
       // the volatile state — checkpoints never capture plans, so a restore
       // replans from the restored rung preference alone.
       if (tr != nullptr) {
         tr->instant(obs::Track::kGovernor, "plan_invalidate", now_s * 1e6);
       }
-      if (ckpt.valid()) {
-        while (!queue.empty() && queue.back() > ckpt.at_s) {
+      if (n.ckpt.valid()) {
+        while (!queue.empty() && queue.back() > n.ckpt.at_s) {
           queue.pop_back();
           ++r.frames_dropped;
         }
-        cur = ckpt.rung;
-        miss_ewma = ckpt.miss_ewma;
+        cur = n.ckpt.rung;
+        n.miss_ewma = n.ckpt.miss_ewma;
       } else {
         r.frames_dropped += queue.size();
         queue.clear();
         cur = -1;
-        miss_ewma = 0.0;
+        n.miss_ewma = 0.0;
       }
     }
-    const bool down = now_s < down_until_s;
+    const bool down = now_s < n.down_until_s;
 
     // ---- Faults: periodic governor checkpoint — one flash write per due
     // interval boundary (collapsed to one per slot when a slot spans
@@ -466,12 +450,12 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     // advances: a dead node writes nothing).
     if (ckpt_on) {
       bool due = false;
-      while (next_ckpt_s <= now_s) {
+      while (n.next_ckpt_s <= now_s) {
         due = true;
-        next_ckpt_s += reboot.checkpoint_interval_s;
+        n.next_ckpt_s += reboot.checkpoint_interval_s;
       }
       if (due && !down) {
-        ckpt = GovernorCheckpoint{now_s, cur, miss_ewma};
+        n.ckpt = GovernorCheckpoint{now_s, cur, n.miss_ewma};
         const double ckpt_uj = std::max(reboot.checkpoint_uj, 0.0);
         battery.drain_uj(ckpt_uj);
         r.checkpoint_uj += ckpt_uj;
@@ -490,7 +474,7 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       }
     }
     if (spec.period_jitter > 0.0) {
-      period_s *= 1.0 + spec.period_jitter * (2.0 * rng.next_unit() - 1.0);
+      period_s *= 1.0 + spec.period_jitter * (2.0 * n.rng.next_unit() - 1.0);
       period_s = std::max(period_s, 1e-6);
     }
     double active_slack = slack;
@@ -508,14 +492,8 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     // ---- Faults: reboot downtime. The node is off: nothing captures, no
     // sleep draw (only battery self-discharge), but the sun still charges.
     if (down) {
-      r.downtime_s += std::min(period_s, down_until_s - now_s);
-      battery.elapse(period_s, 0.0);
-      if (has_harvest && !battery.depleted()) {
-        r.harvested_mwh += battery.charge(
-            period_s, effective_intake_mw(spec, harvest_mw, ambient_c));
-      }
-      trace_slot_counters(now_s + period_s);
-      now_s += period_s;
+      r.downtime_s += std::min(period_s, n.down_until_s - now_s);
+      sleep_slot(period_s, 0.0);
       continue;
     }
 
@@ -528,20 +506,13 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     // ---- Faults: graceful degradation sheds this capture (bounded by the
     // policy's skip factor): the frame is accounted, never enqueued, and
     // the whole slot sleeps — trading declared QoS for survival.
-    if (shed_countdown > 0) {
-      --shed_countdown;
+    if (n.shed_countdown > 0) {
+      --n.shed_countdown;
       ++r.frames_shed;
       if (tr != nullptr) {
         tr->instant(obs::Track::kFaults, "shed", now_s * 1e6);
       }
-      r.sleep_uj += std::max(spec.duty.sleep_mw, 0.0) * period_s * 1e3;
-      battery.elapse(period_s, spec.duty.sleep_mw);
-      if (has_harvest && !battery.depleted()) {
-        r.harvested_mwh += battery.charge(
-            period_s, effective_intake_mw(spec, harvest_mw, ambient_c));
-      }
-      trace_slot_counters(now_s + period_s);
-      now_s += period_s;
+      sleep_slot(period_s, spec.duty.sleep_mw);
       continue;
     }
 
@@ -559,16 +530,8 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
         tr->end(obs::Track::kLink, "window", now_s * 1e6);
       }
       link_traced = 0;
-      // Down: the whole slot sleeps on the retained clock state. The sun
-      // does not care about the uplink — harvest still charges the slot.
-      r.sleep_uj += std::max(spec.duty.sleep_mw, 0.0) * period_s * 1e3;
-      battery.elapse(period_s, spec.duty.sleep_mw);
-      if (has_harvest && !battery.depleted()) {
-        r.harvested_mwh += battery.charge(
-            period_s, effective_intake_mw(spec, harvest_mw, ambient_c));
-      }
-      trace_slot_counters(now_s + period_s);
-      now_s += period_s;
+      // Down: the whole slot sleeps on the retained clock state.
+      sleep_slot(period_s, spec.duty.sleep_mw);
       continue;
     }
     if (tr != nullptr && link.gated() && link_traced != 1) {
@@ -596,9 +559,9 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       // full burst (ramp + payload); followers ride the already-ramped PA
       // and pay payload only. radio_batch == 1 is per-frame bursts,
       // bit-identical to the pre-batching engine.
-      const bool follow = radio_batch > 1 && (batch_pos % radio_batch) != 0;
-      const double frame_radio_us = follow ? radio_follow_us : radio_us;
-      const double frame_radio_uj = follow ? radio_follow_uj : radio_uj;
+      const bool follow = n.radio_batch > 1 && (batch_pos % n.radio_batch) != 0;
+      const double frame_radio_us = follow ? n.radio_follow_us : n.radio_us;
+      const double frame_radio_uj = follow ? n.radio_follow_uj : n.radio_uj;
 
       ctx = FrameContext{};
       ctx.time_s = serve_s;
@@ -611,13 +574,13 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
           link.gated() ? link.window_end() - serve_s : -1.0;
       ctx.radio_us = frame_radio_us;
       ctx.harvest_mw = effective_intake_mw(spec, harvest_mw, ambient_c);
-      if (wake_set) ctx.wake = wake;
+      ctx.wake_table = &wakes;
+      ctx.wake_id = wake;
 
       const int next = policy.choose(ctx, cur);
       const RungInfo& rung = rungs.at(static_cast<std::size_t>(next));
       const TransitionCost trans =
-          wake_set ? wake_transition(wake, rung, b.sim.switching, pm)
-                   : TransitionCost{};
+          wake >= 0 ? wakes.row(wake)[next] : TransitionCost{};
       // The QoS deadline bounds the compute path (transition + inference);
       // the uplink burst extends the frame's slot occupancy instead — its
       // delay surfaces as backlog latency debt, not as a deadline miss.
@@ -636,14 +599,14 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
         if (max_peak_mhz > cap_mhz + 1e-9) ++r.derated_frames;
         if (rung.peak_mhz() > cap_mhz + 1e-9) ++r.thermal_violations;
       }
-      if (prelock_pending) {
-        next == predicted ? ++r.prelock_hits : ++r.prelock_misses;
+      if (n.prelock_pending) {
+        next == n.predicted ? ++r.prelock_hits : ++r.prelock_misses;
         if (tr != nullptr) {
           tr->instant(obs::Track::kGovernor,
-                      next == predicted ? "prelock_hit" : "prelock_miss",
+                      next == n.predicted ? "prelock_hit" : "prelock_miss",
                       serve_s * 1e6);
         }
-        prelock_pending = false;
+        n.prelock_pending = false;
       }
       battery.drain_uj(rung.e_uj + trans.uj + frame_radio_uj);
       r.inference_uj += rung.e_uj;
@@ -692,13 +655,13 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
             break;
           }
           const double unit = faults.radio.backoff_jitter > 0.0
-                                  ? fault_rng.next_unit()
+                                  ? n.fault_rng.next_unit()
                                   : 0.5;
           const double backoff_s = retry_backoff_s(faults.radio, attempt, unit);
           const double next_start_s =
               attempt_start_s + attempt_us * 1e-6 + backoff_s;
           if (link.gated() &&
-              next_start_s + radio_us * 1e-6 > link.window_end()) {
+              next_start_s + n.radio_us * 1e-6 > link.window_end()) {
             ++r.tx_failures;  // the backoff crossed the window boundary
             break;
           }
@@ -706,13 +669,13 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
           ++r.retries;
           if (tr != nullptr) {
             tr->complete(obs::Track::kRadio, "retry", next_start_s * 1e6,
-                         radio_us);
+                         n.radio_us);
           }
-          uplink_us += backoff_s * 1e6 + radio_us;
-          battery.drain_uj(radio_uj);
-          r.retry_uj += radio_uj;
+          uplink_us += backoff_s * 1e6 + n.radio_us;
+          battery.drain_uj(n.radio_uj);
+          r.retry_uj += n.radio_uj;
           attempt_start_s = next_start_s;
-          attempt_us = radio_us;
+          attempt_us = n.radio_us;
           if (battery.depleted()) {
             ++r.tx_failures;  // died mid-retry-burst: delivery unconfirmed
             break;
@@ -722,15 +685,14 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       }
 
       cur = next;
-      wake = WakeState::after(rung);
-      wake_set = 1;
+      wake = wakes.exit_id(next);
       ++batch_pos;
       total_active_s += (compute_us + uplink_us) * 1e-6;
 
       // ---- Faults: degraded-mode pressure input — the deadline-miss EWMA
       // the policy's shedding ladder reads.
       if (degraded_on) {
-        miss_ewma += degraded.miss_alpha * ((missed ? 1.0 : 0.0) - miss_ewma);
+        n.miss_ewma += degraded.miss_alpha * ((missed ? 1.0 : 0.0) - n.miss_ewma);
       }
       first = false;
       if (battery.depleted()) break;
@@ -740,8 +702,8 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     // many upcoming captures to shed (0 from degradation-blind policies).
     if (degraded_on && !first) {
       const std::uint32_t skip =
-          policy.degraded_skip(battery.soc(), miss_ewma, degraded);
-      shed_countdown = skip < degraded.max_skip ? skip : degraded.max_skip;
+          policy.degraded_skip(battery.soc(), n.miss_ewma, degraded);
+      n.shed_countdown = skip < degraded.max_skip ? skip : degraded.max_skip;
     }
 
     // The slot occupies max(period, active time); the remainder sleeps.
@@ -756,50 +718,30 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     // ---- Predictive pre-lock: reposition the PLL/regulator for the rung
     // the policy expects next, paid during the sleep just charged (off the
     // wake critical path). Only when the sleep actually fits the relock.
-    if (wake_set && !first) {
+    if (wake >= 0 && !first) {
       const int pred = policy.predict_next(ctx, cur);
       if (pred >= 0 && sleep_s * 1e6 > 0.0) {
-        WakeState repositioned = wake;
-        const clock::SwitchCost cost = clock::background_reposition_cost(
-            b.sim.switching,
-            rungs[static_cast<std::size_t>(pred)].entry_hfo,
-            repositioned.config, repositioned.locked_pll,
-            repositioned.scale);
-        if (cost.total_us > 0.0 && cost.total_us <= sleep_s * 1e6) {
-          const double uj =
-              cost.total_us *
-              pm.power_mw(power::PowerState::from_parts(
-                              repositioned.config, repositioned.locked_pll,
-                              repositioned.scale),
-                          power::Activity::kMemoryStall) *
-              1e-3;
-          battery.drain_uj(uj);
-          r.prelock_uj += uj;
+        // A pre-lock follows a served frame, so the tree sits at `cur`'s
+        // exit state.
+        assert(wake == wakes.exit_id(cur));
+        const WakeTable::Reposition& prelock = wakes.reposition(cur, pred);
+        if (prelock.us > 0.0 && prelock.us <= sleep_s * 1e6) {
+          battery.drain_uj(prelock.uj);
+          r.prelock_uj += prelock.uj;
           ++r.prelocks;
           if (tr != nullptr) {
             tr->complete(obs::Track::kGovernor, "prelock",
-                         (now_s + total_active_s) * 1e6, cost.total_us,
-                         "rung", static_cast<double>(pred));
+                         (now_s + total_active_s) * 1e6, prelock.us, "rung",
+                         static_cast<double>(pred));
           }
-          predicted = pred;
-          prelock_pending = true;
-          wake = repositioned;
+          n.predicted = pred;
+          n.prelock_pending = true;
+          wake = prelock.to;
         }
       }
     }
 
-    // ---- Harvest: the active intake charges the battery over the whole
-    // slot span (the sun does not care what the MCU is doing — blackout
-    // slots above charge too), scaled by panel thermal derating,
-    // rate-capped and clamped at capacity inside Battery::charge. Skipped
-    // once depleted: a browned-out node is dead — charge never revives it,
-    // so depletion semantics match the discharge-only engine exactly.
-    if (has_harvest && !battery.depleted()) {
-      r.harvested_mwh += battery.charge(
-          step_s, effective_intake_mw(spec, harvest_mw, ambient_c));
-    }
-    trace_slot_counters(now_s + step_s);
-    now_s += step_s;
+    end_slot(step_s);
   }
 
   r.simulated_s = now_s;

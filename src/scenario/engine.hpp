@@ -50,25 +50,27 @@
 
 namespace daedvfs::scenario {
 
-/// Structure-of-arrays mission batch: the slot loop's per-node state
+/// Mission batch: one shared policy/ladder (read-only) and one sim
+/// parameterization serve all its nodes. Each node's slot-loop state
 /// (battery, backlog ring, pre-lock, jitter/fault RNG streams, event
-/// cursors) lives in flat arrays indexed by node, so thousands of concurrent
-/// missions stay cache-resident instead of scattering a deque plus a dozen
-/// heap blocks per mission across the allocator. One batch shares one
-/// policy/ladder (read-only) and one sim parameterization across all its
-/// nodes — the fleet layer (scenario/fleet.hpp) builds one batch per worker
-/// chunk; the scalar `simulate_mission` below is exactly the N=1 case, so
-/// batched and standalone reports are bit-identical by construction (pinned
-/// by the golden report, the 200-seed fuzz digests, and test_fleet.cpp).
+/// cursors) is one NodeState; event timelines and backlog rings live in
+/// shared arenas. The batch prices the ladder's wake transitions once
+/// (WakeTable, scenario/policy.hpp) and every frame of every node reads
+/// them from there. The fleet layer (scenario/fleet.hpp) builds one batch
+/// per worker chunk; the scalar `simulate_mission` below is exactly the N=1
+/// case, so batched and standalone reports are bit-identical by
+/// construction (pinned by the golden report, the 200-seed fuzz digests,
+/// and test_fleet.cpp).
 ///
 /// Usage: add() every node, then run() each node exactly once. Threading:
-/// distinct nodes touch disjoint array slots, so different nodes may run
+/// distinct nodes touch disjoint state, so different nodes may run
 /// concurrently from different threads once all add() calls are done; the
 /// policy is only read (attach no obs sink to a shared LadderPolicy while
 /// batches run in parallel — its counters are not atomic).
 class MissionBatch {
  public:
-  /// `policy` is borrowed for the batch's lifetime; `sim` is copied.
+  /// `policy` is borrowed for the batch's lifetime; `sim` is read here
+  /// only (its wake-transition prices are tabulated).
   MissionBatch(const SchedulePolicy& policy, double t_base_us,
                const sim::SimParams& sim);
   ~MissionBatch();
@@ -86,7 +88,7 @@ class MissionBatch {
   [[nodiscard]] MissionReport run(std::size_t node, obs::Sink* sink = nullptr);
 
  private:
-  struct Block;  ///< The SoA state arrays (engine.cpp).
+  struct Block;  ///< Node states, arenas and wake table (engine.cpp).
   std::unique_ptr<Block> b_;
 };
 

@@ -33,6 +33,52 @@ TransitionCost rung_transition(const RungInfo& from, const RungInfo& to,
   return wake_transition(WakeState::after(from), to, switching, pm);
 }
 
+int WakeTable::intern(const WakeState& w) {
+  const auto it = std::find(states_.begin(), states_.end(), w);
+  if (it != states_.end()) return static_cast<int>(it - states_.begin());
+  states_.push_back(w);
+  return static_cast<int>(states_.size() - 1);
+}
+
+WakeTable::WakeTable(const std::vector<RungInfo>& rungs,
+                     const clock::SwitchCostParams& switching,
+                     const power::PowerModel& pm,
+                     const std::optional<clock::ClockConfig>& boot)
+    : rungs_(rungs.size()), switching_(switching), power_(pm.params()) {
+  if (boot) boot_ = intern(WakeState::at(*boot));
+  for (const RungInfo& r : rungs) exit_.push_back(intern(WakeState::after(r)));
+  for (const RungInfo& r : rungs) {
+    TransitionCost mux;
+    mux.us = switching.mux_switch_us;
+    mux.uj = mux.us *
+             pm.config_power_mw(r.entry_hfo, power::Activity::kMemoryStall) *
+             1e-3;
+    free_.push_back(mux);
+  }
+  for (const int from : exit_) {
+    for (const RungInfo& target : rungs) {
+      WakeState w = states_[static_cast<std::size_t>(from)];
+      const clock::SwitchCost cost = clock::background_reposition_cost(
+          switching, target.entry_hfo, w.config, w.locked_pll, w.scale);
+      Reposition rp;
+      rp.us = cost.total_us;
+      rp.uj = cost.total_us *
+              pm.power_mw(power::PowerState::from_parts(w.config,
+                                                        w.locked_pll, w.scale),
+                          power::Activity::kMemoryStall) *
+              1e-3;
+      rp.to = intern(w);
+      reposition_.push_back(rp);
+    }
+  }
+  cost_.reserve(states_.size() * rungs_);
+  for (const WakeState& w : states_) {
+    for (const RungInfo& r : rungs) {
+      cost_.push_back(wake_transition(w, r, switching, pm));
+    }
+  }
+}
+
 LadderPolicy::LadderPolicy(std::vector<RungInfo> rungs,
                            clock::SwitchCostParams switching,
                            power::PowerModelParams power, std::string name,
@@ -40,12 +86,18 @@ LadderPolicy::LadderPolicy(std::vector<RungInfo> rungs,
     : rungs_(std::move(rungs)),
       switching_(switching),
       pm_(power),
+      table_(rungs_, switching_, pm_),
       name_(std::move(name)),
       predictive_(predictive) {}
 
 LadderPolicy::LadderPolicy(clock::SwitchCostParams switching,
                            power::PowerModelParams power, bool predictive)
     : switching_(switching), pm_(power), predictive_(predictive) {}
+
+void LadderPolicy::set_rungs(std::vector<RungInfo> rungs) {
+  rungs_ = std::move(rungs);
+  table_ = WakeTable(rungs_, switching_, pm_);
+}
 
 namespace {
 
@@ -63,13 +115,10 @@ struct Pick {
   Tier tier = kTierBudget;
 };
 
-/// Shared selection loop of choose() and predict_next(). `free_wake` prices
-/// every transition as the bare mux toggle (what a pre-lock establishes);
-/// otherwise transitions run the full switch policy from `wake`.
-Pick pick_rung(const std::vector<RungInfo>& rungs,
-               const clock::SwitchCostParams& switching,
-               const power::PowerModel& pm, const FrameContext& ctx,
-               const std::optional<WakeState>& wake, bool free_wake) {
+/// Shared selection loop of choose() and predict_next(). `wake` holds the
+/// wake-transition cost into each rung (nullptr: no transition).
+Pick pick_rung(const std::vector<RungInfo>& rungs, const FrameContext& ctx,
+               const TransitionCost* wake) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // Catch-up budget: with a backlog and a closing window, aim to serve the
   // queue plus this frame before the window ends. Each frame's share of the
@@ -96,16 +145,7 @@ Pick pick_rung(const std::vector<RungInfo>& rungs,
     }
     if (cap > 0.0 && r.peak_mhz() > cap + 1e-9) continue;  // thermally barred
 
-    TransitionCost trans;
-    if (free_wake) {
-      trans.us = switching.mux_switch_us;
-      trans.uj = trans.us *
-                 pm.config_power_mw(r.entry_hfo,
-                                    power::Activity::kMemoryStall) *
-                 1e-3;
-    } else if (wake) {
-      trans = wake_transition(*wake, r, switching, pm);
-    }
+    const TransitionCost trans = wake != nullptr ? wake[i] : TransitionCost{};
     const double t = r.t_us + trans.us;
     const double e = r.e_uj + trans.uj;
     if (t < fastest_t) {
@@ -149,21 +189,35 @@ void LadderPolicy::set_sink(obs::Sink* sink) {
   tier_counters_[kTierCoolest] = &mx->counter("governor.tier_coolest");
 }
 
+const TransitionCost* LadderPolicy::wake_row(
+    const FrameContext& ctx, int current_rung,
+    std::vector<TransitionCost>& repriced) const {
+  if (ctx.wake_table != nullptr && ctx.wake_id >= 0) {
+    if (ctx.wake_table->prices_like(table_)) {
+      return ctx.wake_table->row(ctx.wake_id);
+    }
+    const WakeState& wake = ctx.wake_table->state(ctx.wake_id);
+    repriced.clear();
+    for (const RungInfo& r : rungs_) {
+      repriced.push_back(wake_transition(wake, r, switching_, pm_));
+    }
+    return repriced.data();
+  }
+  if (current_rung >= 0) return table_.row(table_.exit_id(current_rung));
+  return nullptr;
+}
+
 int LadderPolicy::raw_pick(const FrameContext& ctx,
-                           const std::optional<WakeState>& wake,
-                           bool free_wake) const {
+                           const TransitionCost* wake) const {
   if (rungs_.empty()) return -1;
-  return pick_rung(rungs_, switching_, pm_, ctx, wake, free_wake).rung;
+  return pick_rung(rungs_, ctx, wake).rung;
 }
 
 int LadderPolicy::choose(const FrameContext& ctx, int current_rung) const {
   if (rungs_.empty()) return -1;
-  std::optional<WakeState> wake = ctx.wake;
-  if (!wake && current_rung >= 0) {
-    wake = WakeState::after(rungs_[static_cast<std::size_t>(current_rung)]);
-  }
+  std::vector<TransitionCost> repriced;
   const Pick pick =
-      pick_rung(rungs_, switching_, pm_, ctx, wake, /*free_wake=*/false);
+      pick_rung(rungs_, ctx, wake_row(ctx, current_rung, repriced));
   if (choose_calls_ != nullptr) {
     choose_calls_->add();
     tier_counters_[pick.tier]->add();
@@ -242,9 +296,7 @@ int LadderPolicy::predict_next(const FrameContext& ctx, int chosen) const {
   // Steady-duty-cycle assumption: the next frame looks like this one. Pick
   // the rung the policy would run if waking were free — pre-locking its
   // entry PLL during the coming sleep is exactly what makes that true.
-  return pick_rung(rungs_, switching_, pm_, ctx, std::nullopt,
-                   /*free_wake=*/true)
-      .rung;
+  return pick_rung(rungs_, ctx, table_.free_wake()).rung;
 }
 
 }  // namespace daedvfs::scenario

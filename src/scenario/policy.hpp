@@ -79,7 +79,11 @@ struct WakeState {
   [[nodiscard]] static WakeState after(const RungInfo& rung) {
     return at(rung.exit_hfo);
   }
+
+  [[nodiscard]] bool operator==(const WakeState&) const = default;
 };
+
+class WakeTable;
 
 /// What a policy sees when asked to schedule one frame.
 struct FrameContext {
@@ -110,10 +114,13 @@ struct FrameContext {
   /// (governor/planning.hpp) correlates with its harvest calendar. Always
   /// populated by the engine; myopic policies ignore it.
   double harvest_mw = 0.0;
-  /// Clock-tree state at wake, when the engine tracks it (pre-lock aware).
-  /// Unset on a cold start or when calling choose() outside the engine —
-  /// policies then fall back to the previous rung's exit state.
-  std::optional<WakeState> wake;
+  /// Clock-tree state at wake, when the engine tracks it (pre-lock aware):
+  /// state `wake_id` of `wake_table`, the engine's interned wake states of
+  /// this policy's ladder. Unset (nullptr / -1) on a cold start or when
+  /// calling choose() outside the engine — policies then fall back to the
+  /// previous rung's exit state.
+  const WakeTable* wake_table = nullptr;
+  int wake_id = -1;
 };
 
 class SchedulePolicy {
@@ -176,6 +183,82 @@ struct TransitionCost {
     const RungInfo& from, const RungInfo& to,
     const clock::SwitchCostParams& switching, const power::PowerModel& pm);
 
+/// Every wake transition a ladder can pay, priced once. The wake states a
+/// mission can reach form a small finite set — the boot state, each rung's
+/// exit state, and the pre-lock repositions out of those exits — so they
+/// are interned into integer ids (at most N + 1 + N² for N rungs) and the
+/// hot loop reads rows instead of re-running clock and power physics per
+/// frame. Each entry is the value wake_transition /
+/// background_reposition_cost return for that state, evaluated once at
+/// construction, so table reads are bit-identical to pricing on the fly.
+class WakeTable {
+ public:
+  /// A background pre-lock (clock::background_reposition_cost) toward a
+  /// rung's entry clock: the state it leaves behind, its duration and its
+  /// energy at the repositioned tree's memory-stall power. `us == 0` means
+  /// the tree is already positioned (`to` is then the origin state).
+  struct Reposition {
+    int to = -1;
+    double us = 0.0;
+    double uj = 0.0;
+  };
+
+  WakeTable() = default;
+  /// Interns the ladder's exit states, the pre-lock repositions out of
+  /// them and, when `boot` is given, the state a (re)booted node wakes
+  /// into; then prices every (state, rung) transition.
+  WakeTable(const std::vector<RungInfo>& rungs,
+            const clock::SwitchCostParams& switching,
+            const power::PowerModel& pm,
+            const std::optional<clock::ClockConfig>& boot = std::nullopt);
+
+  [[nodiscard]] std::size_t state_count() const { return states_.size(); }
+  [[nodiscard]] const WakeState& state(int id) const {
+    return states_[static_cast<std::size_t>(id)];
+  }
+  /// -1 when built without a boot configuration.
+  [[nodiscard]] int boot_id() const { return boot_; }
+  /// State left behind by a frame executed on `rung`.
+  [[nodiscard]] int exit_id(int rung) const {
+    return exit_[static_cast<std::size_t>(rung)];
+  }
+  /// Cost of waking from state `id` into each rung (one entry per rung).
+  [[nodiscard]] const TransitionCost* row(int id) const {
+    return cost_.data() + static_cast<std::size_t>(id) * rungs_;
+  }
+  /// Wake into each rung through a pre-locked PLL: the bare mux toggle at
+  /// the rung's entry memory-stall power (one entry per rung).
+  [[nodiscard]] const TransitionCost* free_wake() const {
+    return free_.data();
+  }
+  /// Pre-lock toward rung `to`'s entry clock out of rung `from`'s exit
+  /// state — the only state a pre-lock starts from (it follows a served
+  /// frame).
+  [[nodiscard]] const Reposition& reposition(int from, int to) const {
+    return reposition_[static_cast<std::size_t>(from) * rungs_ +
+                       static_cast<std::size_t>(to)];
+  }
+  /// Same ladder size and same switch/power parameters: rows of either
+  /// table price a given state identically.
+  [[nodiscard]] bool prices_like(const WakeTable& other) const {
+    return rungs_ == other.rungs_ && switching_ == other.switching_ &&
+           power_ == other.power_;
+  }
+
+ private:
+  int intern(const WakeState& w);
+
+  std::size_t rungs_ = 0;
+  clock::SwitchCostParams switching_;
+  power::PowerModelParams power_;
+  std::vector<WakeState> states_;
+  int boot_ = -1;
+  std::vector<int> exit_;
+  std::vector<TransitionCost> cost_;  ///< state-major, rungs_ per row.
+  std::vector<TransitionCost> free_;
+  std::vector<Reposition> reposition_;  ///< from-rung-major.
+};
+
 /// Shared ladder decision rule. Owns a rung ladder plus the switch/power
 /// parameterization that prices wake transitions, and implements:
 ///
@@ -235,22 +318,35 @@ class LadderPolicy : public SchedulePolicy {
  protected:
   /// The tiered decision rule without metrics emission — the raw pick the
   /// planning governor (governor/planning.cpp) replays over its lookahead
-  /// horizon. `wake` prices the wake transition (nullopt = free-standing
-  /// pick); `free_wake` reduces every transition to the bare mux toggle
-  /// (what a pre-lock establishes). Byte-for-byte the selection loop
-  /// choose()/predict_next() run, so a horizon rollout can never drift from
-  /// the online rule.
+  /// horizon. `wake` holds one wake-transition cost per rung (a wake_row(),
+  /// a table_ row, or table_.free_wake() for a pre-locked wake); nullptr is
+  /// a free-standing pick with no transition. Byte-for-byte the selection
+  /// loop choose()/predict_next() run, so a horizon rollout can never drift
+  /// from the online rule.
   [[nodiscard]] int raw_pick(const FrameContext& ctx,
-                             const std::optional<WakeState>& wake,
-                             bool free_wake) const;
+                             const TransitionCost* wake) const;
+  /// Wake-cost row of the state `ctx`'s frame wakes into: the engine's
+  /// interned state when ctx carries one, else `current_rung`'s exit state,
+  /// else nullptr. An engine table priced with other switch/power
+  /// parameters than this ladder's is re-priced into `repriced` with the
+  /// ladder's own (a cold path: the governor and the engine share one
+  /// SimParams everywhere in this repository).
+  [[nodiscard]] const TransitionCost* wake_row(
+      const FrameContext& ctx, int current_rung,
+      std::vector<TransitionCost>& repriced) const;
   /// For subclasses (the governor) that build the ladder after base-class
-  /// construction.
+  /// construction; they install it through set_rungs().
   LadderPolicy(clock::SwitchCostParams switching,
                power::PowerModelParams power, bool predictive);
+  /// Replaces the ladder and re-prices table_ for it.
+  void set_rungs(std::vector<RungInfo> rungs);
 
   std::vector<RungInfo> rungs_;      ///< Ascending latency.
   clock::SwitchCostParams switching_;
   power::PowerModel pm_;
+  /// rungs_ priced with switching_/pm_ (no boot state): the exit rows that
+  /// serve callers passing no engine wake state, and the free-wake row.
+  WakeTable table_;
   std::string name_ = "ladder";
   bool predictive_ = false;
 

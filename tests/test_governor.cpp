@@ -1,12 +1,20 @@
 // Adaptive schedule governor (governor/governor.hpp): ladder construction
-// from one DSE + one MCKP DP sweep, rung properties, and the online
-// minimum-energy-under-deadline choice.
+// from one DSE + one MCKP DP sweep, rung properties, the online
+// minimum-energy-under-deadline choice, and the wake-transition table the
+// choice reads against its source of truth (wake_transition).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
+#include "clock/rcc.hpp"
 #include "core/schedule_builder.hpp"
 #include "governor/governor.hpp"
 #include "graph/builder.hpp"
+#include "graph/zoo.hpp"
 #include "scenario/engine.hpp"
+#include "scenario/fleet.hpp"
+#include "scenario_test_support.hpp"
 
 namespace daedvfs::governor {
 namespace {
@@ -148,6 +156,214 @@ TEST(Governor, ExactSimulationLadderMatchesFastLadder) {
     EXPECT_TRUE(runtime::plans_identical(
         gf.schedule(static_cast<int>(i)), ge.schedule(static_cast<int>(i))))
         << "rung " << i;
+  }
+}
+
+// ---- Wake-transition table vs its source of truth -------------------------
+
+/// The selection rule as it read before transitions were tabulated: every
+/// transition re-priced through wake_transition (nullopt = no transition),
+/// or the bare mux toggle at the entry's memory-stall power for a
+/// pre-locked (`free_wake`) wake.
+int reference_pick(const std::vector<scenario::RungInfo>& rungs,
+                   const sim::SimParams& sim, const scenario::FrameContext& ctx,
+                   const std::optional<scenario::WakeState>& wake,
+                   bool free_wake) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const power::PowerModel pm(sim.power);
+  double budget_us = kInf;
+  if (ctx.backlog > 0 && ctx.window_remaining_s >= 0.0) {
+    budget_us = ctx.window_remaining_s * 1e6 /
+                    (static_cast<double>(ctx.backlog) + 1.0) -
+                ctx.radio_us;
+  }
+  const double cap = ctx.max_sysclk_mhz;
+  int best_budget = -1, best_deadline = -1, fastest = -1, coolest = -1;
+  double be_budget = kInf, be_deadline = kInf, fastest_t = kInf;
+  double coolest_mhz = kInf;
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    const scenario::RungInfo& r = rungs[i];
+    if (r.peak_mhz() < coolest_mhz) {
+      coolest_mhz = r.peak_mhz();
+      coolest = static_cast<int>(i);
+    }
+    if (cap > 0.0 && r.peak_mhz() > cap + 1e-9) continue;
+    scenario::TransitionCost trans;
+    if (free_wake) {
+      trans.us = sim.switching.mux_switch_us;
+      trans.uj = trans.us *
+                 pm.config_power_mw(r.entry_hfo,
+                                    power::Activity::kMemoryStall) *
+                 1e-3;
+    } else if (wake) {
+      trans = scenario::wake_transition(*wake, r, sim.switching, pm);
+    }
+    const double t = r.t_us + trans.us;
+    const double e = r.e_uj + trans.uj;
+    if (t < fastest_t) {
+      fastest_t = t;
+      fastest = static_cast<int>(i);
+    }
+    if (t <= ctx.deadline_us + 1e-9 && e < be_deadline) {
+      be_deadline = e;
+      best_deadline = static_cast<int>(i);
+    }
+    if (t <= std::min(ctx.deadline_us, budget_us) + 1e-9 && e < be_budget) {
+      be_budget = e;
+      best_budget = static_cast<int>(i);
+    }
+  }
+  if (best_budget >= 0) return best_budget;
+  if (best_deadline >= 0) return best_deadline;
+  if (fastest >= 0) return fastest;
+  return coolest;
+}
+
+/// A frame context near the ladder's decision boundaries: the deadline
+/// lands within a relock of some rung's latency, and the thermal cap,
+/// backlog catch-up budget and radio time are each on or off.
+scenario::FrameContext random_context(
+    const std::vector<scenario::RungInfo>& rungs, scenario::SpecRng& rng) {
+  double peak_lo = std::numeric_limits<double>::infinity(), peak_hi = 0.0;
+  for (const scenario::RungInfo& r : rungs) {
+    peak_lo = std::min(peak_lo, r.peak_mhz());
+    peak_hi = std::max(peak_hi, r.peak_mhz());
+  }
+  const scenario::RungInfo& anchor =
+      rungs[static_cast<std::size_t>(rng.upto(static_cast<int>(rungs.size())))];
+  scenario::FrameContext ctx;
+  ctx.deadline_us = anchor.t_us + rng.range(-50.0, 300.0);
+  if (rng.coin()) ctx.max_sysclk_mhz = rng.range(peak_lo - 20.0, peak_hi + 5.0);
+  ctx.backlog = static_cast<std::uint32_t>(rng.upto(6));
+  if (rng.coin()) {
+    ctx.window_remaining_s = rng.range(0.0, 2.0) * anchor.t_us * 1e-6 *
+                             (static_cast<double>(ctx.backlog) + 1.0);
+  }
+  if (rng.coin()) ctx.radio_us = rng.range(0.0, 0.2 * anchor.t_us);
+  return ctx;
+}
+
+/// The three pins of a WakeTable built for `policy`'s ladder under `sim`:
+/// (1) at most N + 1 + N² interned states, (2) every entry bit-equal to
+/// wake_transition / background_reposition_cost, (3) table-driven picks —
+/// choose() from every interned state, choose() from a bare previous rung,
+/// predict_next() — equal to the pre-table rule on random contexts.
+/// `policy_sim` is what the ladder prices with; a table built under other
+/// parameters must still be read at the ladder's own prices.
+void expect_table_matches_source(const scenario::LadderPolicy& policy,
+                                 const sim::SimParams& policy_sim,
+                                 const sim::SimParams& sim) {
+  const std::vector<scenario::RungInfo>& rungs = policy.rungs();
+  ASSERT_FALSE(rungs.empty());
+  const std::size_t n = rungs.size();
+  const power::PowerModel pm(sim.power);
+  const scenario::WakeTable table(rungs, sim.switching, pm, sim.boot);
+
+  EXPECT_LE(table.state_count(), n + 1 + n * n);
+  EXPECT_TRUE(table.state(table.boot_id()) ==
+              scenario::WakeState::at(sim.boot));
+  for (std::size_t to = 0; to < n; ++to) {
+    const scenario::RungInfo& r = rungs[to];
+    const int rung = static_cast<int>(to);
+    EXPECT_TRUE(table.state(table.exit_id(rung)) ==
+                scenario::WakeState::after(r));
+    EXPECT_EQ(table.free_wake()[to].us, sim.switching.mux_switch_us);
+    EXPECT_EQ(table.free_wake()[to].uj,
+              sim.switching.mux_switch_us *
+                  pm.config_power_mw(r.entry_hfo,
+                                     power::Activity::kMemoryStall) *
+                  1e-3);
+    for (std::size_t id = 0; id < table.state_count(); ++id) {
+      const scenario::TransitionCost want = scenario::wake_transition(
+          table.state(static_cast<int>(id)), r, sim.switching, pm);
+      const scenario::TransitionCost got = table.row(static_cast<int>(id))[to];
+      EXPECT_EQ(got.us, want.us) << "state " << id << " -> rung " << to;
+      EXPECT_EQ(got.uj, want.uj) << "state " << id << " -> rung " << to;
+    }
+    for (std::size_t from = 0; from < n; ++from) {
+      scenario::WakeState w = scenario::WakeState::after(rungs[from]);
+      const clock::SwitchCost cost = clock::background_reposition_cost(
+          sim.switching, r.entry_hfo, w.config, w.locked_pll, w.scale);
+      const scenario::WakeTable::Reposition& rp =
+          table.reposition(static_cast<int>(from), rung);
+      EXPECT_EQ(rp.us, cost.total_us);
+      EXPECT_EQ(rp.uj, cost.total_us *
+                           pm.power_mw(power::PowerState::from_parts(
+                                           w.config, w.locked_pll, w.scale),
+                                       power::Activity::kMemoryStall) *
+                           1e-3);
+      EXPECT_TRUE(table.state(rp.to) == w);
+    }
+  }
+
+  scenario::SpecRng rng(0x5eedULL + n);
+  for (int trial = 0; trial < 400; ++trial) {
+    scenario::FrameContext ctx = random_context(rungs, rng);
+    const int prev = rng.upto(static_cast<int>(n) + 1) - 1;
+    for (std::size_t id = 0; id < table.state_count(); ++id) {
+      ctx.wake_table = &table;
+      ctx.wake_id = static_cast<int>(id);
+      ASSERT_EQ(policy.choose(ctx, prev),
+                reference_pick(rungs, policy_sim, ctx,
+                               table.state(static_cast<int>(id)), false))
+          << "trial " << trial << ", state " << id;
+    }
+    ctx.wake_table = nullptr;
+    ctx.wake_id = -1;
+    std::optional<scenario::WakeState> exit;
+    if (prev >= 0) {
+      exit = scenario::WakeState::after(rungs[static_cast<std::size_t>(prev)]);
+    }
+    ASSERT_EQ(policy.choose(ctx, prev),
+              reference_pick(rungs, policy_sim, ctx, exit, false))
+        << "trial " << trial << ", previous rung " << prev;
+    ASSERT_EQ(policy.predict_next(ctx, prev),
+              policy.predictive()
+                  ? reference_pick(rungs, policy_sim, ctx, std::nullopt, true)
+                  : -1)
+        << "trial " << trial;
+  }
+}
+
+TEST(WakeTable, MatchesWakeTransitionOnPdAndSyntheticLadders) {
+  const graph::Model pd = graph::zoo::make_person_detection();
+  governor::GovernorConfig reactive_cfg;
+  reactive_cfg.pipeline.space = dse::make_paper_design_space(
+      power::PowerModel{reactive_cfg.pipeline.explore.sim.power});
+  governor::GovernorConfig predictive_cfg = reactive_cfg;
+  predictive_cfg.predictive = true;
+  dse::ProfileCache cache;
+  const scenario::FleetLadders ladders = scenario::build_fleet_ladders(
+      {{"reactive", &pd, reactive_cfg}, {"predictive", &pd, predictive_cfg}},
+      cache);
+
+  // The engine prices with a (re)boot clock outside the ladder and, in the
+  // last case, with switch costs the ladder does not share.
+  sim::SimParams hsi_boot;
+  hsi_boot.boot = clock::ClockConfig::hsi_direct();
+  sim::SimParams slow_relock = hsi_boot;
+  slow_relock.switching.pll_relock_us = 320.0;
+  slow_relock.switching.vos_change_us = 25.0;
+
+  for (const auto& gov : ladders.governors) {
+    SCOPED_TRACE(gov->predictive() ? "PD predictive" : "PD reactive");
+    const sim::SimParams& sim = gov->config().pipeline.explore.sim;
+    sim::SimParams rebooted = sim;
+    rebooted.boot = hsi_boot.boot;
+    expect_table_matches_source(*gov, sim, sim);
+    expect_table_matches_source(*gov, sim, rebooted);
+  }
+  const sim::SimParams defaults;
+  for (const bool with_eco : {false, true}) {
+    for (const bool predictive : {false, true}) {
+      SCOPED_TRACE(std::string("synthetic") + (with_eco ? "+eco" : "") +
+                   (predictive ? " predictive" : " reactive"));
+      const scenario::LadderPolicy ladder =
+          scenario::make_synthetic_ladder(predictive, with_eco);
+      expect_table_matches_source(ladder, defaults, defaults);
+      expect_table_matches_source(ladder, defaults, hsi_boot);
+      expect_table_matches_source(ladder, defaults, slow_relock);
+    }
   }
 }
 

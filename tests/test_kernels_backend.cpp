@@ -259,8 +259,6 @@ TEST(BackendSweep, DepthwiseBitExactAcrossBackends) {
             a.output = ref_of(out, sim::kSramBase + 0x8000, sim::MemRegion::kSram);
             a.params = basic_params(stride, pad);
             a.granularity = g;
-            DepthwiseArgs oracle = a;
-            oracle.granularity = 0;
             expect_backends_match_oracle(
                 a, out, expected,
                 [](const DepthwiseArgs& x, ExecContext& c) { depthwise_conv(x, c); },

@@ -48,6 +48,13 @@ make_tensors(const DwCase& tc, uint32_t seed) {
   return {std::move(in), std::move(w), std::move(bias), std::move(out)};
 }
 
+/// Default simulator parameters, booted on the 216 MHz PLL clock.
+sim::SimParams params_216() {
+  sim::SimParams p;
+  p.boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2);
+  return p;
+}
+
 class DepthwiseVsReference : public ::testing::TestWithParam<DwCase> {};
 
 TEST_P(DepthwiseVsReference, MatchesOracle) {
@@ -113,8 +120,7 @@ TEST_P(FullTimingEquivalence, SameTimeAndEnergy) {
   const DwCase tc{10, 10, 8, 3, 1, 1, GetParam()};
   auto run = [&](ExecMode mode) {
     auto [in, w, bias, out] = make_tensors(tc, 5);
-    sim::Mcu mcu(sim::SimParams{
-        .boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2)});
+    sim::Mcu mcu(params_216());
     LfoHfoPolicy policy(clock::ClockConfig::hse_direct(50.0),
                         clock::ClockConfig::pll_hse(50.0, 25, 216, 2));
     ExecContext ctx;
@@ -137,8 +143,7 @@ INSTANTIATE_TEST_SUITE_P(Granularities, FullTimingEquivalence,
 TEST(Depthwise, DvfsHooksFirePerGroup) {
   const DwCase tc{8, 8, 8, 3, 1, 1, 4};  // 2 groups
   auto [in, w, bias, out] = make_tensors(tc, 3);
-  sim::Mcu mcu(sim::SimParams{
-      .boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2)});
+  sim::Mcu mcu(params_216());
   LfoHfoPolicy policy(clock::ClockConfig::hse_direct(50.0),
                       clock::ClockConfig::pll_hse(50.0, 25, 216, 2));
   ExecContext ctx;
@@ -176,8 +181,7 @@ TEST(Depthwise, DaeIsFasterAtIsoFrequency) {
   dae.granularity = 8;
   auto time_of = [&](const DwCase& tc) {
     auto [in, w, bias, out] = make_tensors(tc, 9);
-    sim::Mcu mcu(sim::SimParams{
-        .boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2)});
+    sim::Mcu mcu(params_216());
     ExecContext ctx;
     ctx.mcu = &mcu;
     ctx.mode = ExecMode::kTiming;

@@ -31,6 +31,13 @@ make_tensors(const PwCase& tc, uint32_t seed) {
   return {std::move(in), std::move(w), std::move(bias), std::move(out)};
 }
 
+/// Default simulator parameters, booted on the 216 MHz PLL clock.
+sim::SimParams params_216() {
+  sim::SimParams p;
+  p.boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2);
+  return p;
+}
+
 PointwiseArgs make_args(const PwCase& tc, tensor::QTensor& in,
                         tensor::QTensor& w, tensor::BiasVector& bias,
                         tensor::QTensor& out) {
@@ -101,8 +108,7 @@ TEST_P(PwFullTimingEquivalence, SameTimeAndEnergy) {
   const PwCase tc{8, 8, 12, 16, GetParam()};
   auto run = [&](ExecMode mode) {
     auto [in, w, bias, out] = make_tensors(tc, 5);
-    sim::Mcu mcu(sim::SimParams{
-        .boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2)});
+    sim::Mcu mcu(params_216());
     LfoHfoPolicy policy(clock::ClockConfig::hse_direct(50.0),
                         clock::ClockConfig::pll_hse(50.0, 25, 216, 2));
     ExecContext ctx;
@@ -125,8 +131,7 @@ INSTANTIATE_TEST_SUITE_P(Granularities, PwFullTimingEquivalence,
 TEST(Pointwise, DvfsHooksFirePerGroup) {
   const PwCase tc{4, 4, 8, 8, 8};  // 16 columns / g=8 -> 2 groups
   auto [in, w, bias, out] = make_tensors(tc, 3);
-  sim::Mcu mcu(sim::SimParams{
-      .boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2)});
+  sim::Mcu mcu(params_216());
   LfoHfoPolicy policy(clock::ClockConfig::hse_direct(50.0),
                       clock::ClockConfig::pll_hse(50.0, 25, 216, 2));
   ExecContext ctx;
@@ -171,8 +176,7 @@ TEST(Pointwise, WeightAmortizationHelpsLargeMatrices) {
   dae.granularity = 16;
   auto time_of = [&](const PwCase& tc) {
     auto [in, w, bias, out] = make_tensors(tc, 9);
-    sim::Mcu mcu(sim::SimParams{
-        .boot = clock::ClockConfig::pll_hse(50.0, 25, 216, 2)});
+    sim::Mcu mcu(params_216());
     ExecContext ctx;
     ctx.mcu = &mcu;
     ctx.mode = ExecMode::kTiming;
