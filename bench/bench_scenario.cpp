@@ -40,6 +40,12 @@
 //     availability) front AND strictly dominate the cold-boot reactive
 //     governor (more delivered frames for less energy).
 //
+//  6. Duty-cycled uplinks: the harvest+radio and checkpointed fault
+//     missions again with 8-frame radio batches. The batched predictive
+//     governor must dominate-or-tie its own per-frame uplinks on both the
+//     (total energy, mean lateness) and the (total energy, availability)
+//     fronts.
+//
 //   $ ./build/bench_scenario                 # VWW + PD v2, full checks
 //   $ ./build/bench_scenario mbv2 out.json
 //   $ ./build/bench_scenario smoke           # small model, CI-fast
@@ -54,10 +60,7 @@
 #include "core/schedule_builder.hpp"
 #include "dse/profile_cache.hpp"
 #include "governor/governor.hpp"
-#include "governor/planning.hpp"
 #include "graph/zoo.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sink.hpp"
 #include "scenario/engine.hpp"
 #include "util/json_writer.hpp"
 
@@ -467,80 +470,58 @@ int main(int argc, char** argv) {
             << v4_cold_reac.total_uj() / 1e6 << " J — dominates="
             << (v4_warm_dominates ? "yes" : "NO") << "\n";
 
-  // ---- Planning mission & the planner gates (PR 10). The PR 4 predictive
-  // governor is the baseline SYSTEM; the planner system adds (a) the MPC
-  // receding-horizon replan over the mission's own event calendar
-  // (governor/planning.hpp) and (b) radio duty-cycling — 8-frame PA-ramp
-  // batches priced through the same RadioModel and netted into the
-  // catch-up budget. The acceptance artifact is dominance on BOTH fronts:
-  // the harvest+radio mission's (energy, mean lateness) plane and the
-  // fault mission's (energy, availability) plane — at most the baseline's
-  // cost on one axis and at least its quality on the other, never worse
-  // on either. The planner points get their own report sets here; the v3
-  // and v4 sections above stay exactly the PR 4-era comparisons.
-  const std::uint32_t v5_horizon = 8;
+  // ---- Duty-cycled uplinks & the batching gates. The same predictive
+  // governor with 8-frame radio batches (PA ramps amortized through the
+  // same RadioModel and netted into the catch-up budget) against its own
+  // per-frame uplinks, on both mission fronts: the harvest+radio mission's
+  // (energy, mean lateness) plane and the fault mission's (energy,
+  // availability) plane — at most the per-frame cost on one axis and at
+  // least its quality on the other, never worse on either. The batched
+  // points get their own report sets; the v3 and v4 sections above stay
+  // the per-frame comparisons.
   const std::uint32_t v5_batch = 8;
+  const std::string batch_tag = "+batch" + std::to_string(v5_batch);
   scenario::MissionSpec v5 = v3;
-  v5.name = "sentry-v5-planned";
+  v5.name = "sentry-v5-batched";
   v5.radio_batch_frames = v5_batch;
-  governor::PlanningConfig v5_cfg;
-  v5_cfg.horizon = v5_horizon;
-  v5_cfg.forecast = governor::MissionForecast::from_spec(v5, v2_tbase);
-  governor::PlanningPolicy v5_planner(v2_rungs, sim.switching, sim.power,
-                                      v5_cfg, "planner+forecast", true);
-  obs::MetricsRegistry v5_mx;
-  obs::Sink v5_sink{nullptr, &v5_mx};
-  v5_planner.set_sink(&v5_sink);
   std::vector<scenario::MissionReport> v5_reports;
-  v5_reports.push_back(simulate_mission(v5, v5_planner, v2_tbase, sim));
-  v5_planner.set_sink(nullptr);
-  const std::uint64_t v5_replans = v5_mx.counter("planner.replans").value();
-  const std::uint64_t v5_overrides =
-      v5_mx.counter("planner.overrides").value();
+  v5_reports.push_back(simulate_mission(v5, v2_pred, v2_tbase, sim));
+  v5_reports.back().policy += batch_tag;
   v5_reports.push_back(v3_reports[0]);  // predictive governor, per-frame tx
   v5_reports.push_back(v3_reports[1]);  // reactive governor, per-frame tx
-  const scenario::MissionReport& v5_plan = v5_reports.front();
+  const scenario::MissionReport& v5_batched = v5_reports.front();
   const std::vector<scenario::MissionParetoPoint> v5_front =
       scenario::mission_pareto(v5_reports);
   const bool v5_dominates_lateness =
-      v5_plan.total_uj() <= v3_pred.total_uj() &&
-      v5_plan.mean_lateness_s() <= v3_pred.mean_lateness_s();
+      v5_batched.total_uj() <= v3_pred.total_uj() &&
+      v5_batched.mean_lateness_s() <= v3_pred.mean_lateness_s();
 
   scenario::MissionSpec v5f = v4_ckpt;
-  v5f.name = "sentry-v5-faults-planned";
+  v5f.name = "sentry-v5-faults-batched";
   v5f.radio_batch_frames = v5_batch;
-  governor::PlanningConfig v5f_cfg;
-  v5f_cfg.horizon = v5_horizon;
-  v5f_cfg.forecast = governor::MissionForecast::from_spec(v5f, v2_tbase);
-  governor::PlanningPolicy v5f_planner(v2_rungs, sim.switching, sim.power,
-                                       v5f_cfg, "planner+forecast", true);
   std::vector<scenario::MissionReport> v5f_reports;
-  v5f_reports.push_back(simulate_mission(v5f, v5f_planner, v2_tbase, sim));
-  v5f_reports.back().policy += "+ckpt";
+  v5f_reports.push_back(simulate_mission(v5f, v2_pred, v2_tbase, sim));
+  v5f_reports.back().policy += "+ckpt" + batch_tag;
   v5f_reports.push_back(v4_warm);       // ckpt predictive, per-frame tx
   v5f_reports.push_back(v4_cold_reac);  // cold reactive, per-frame tx
-  const scenario::MissionReport& v5f_plan = v5f_reports.front();
+  const scenario::MissionReport& v5f_batched = v5f_reports.front();
   const std::vector<scenario::AvailabilityParetoPoint> v5f_front =
       scenario::availability_pareto(v5f_reports);
   const bool v5_dominates_availability =
-      v5f_plan.total_uj() <= v4_warm.total_uj() &&
-      v5f_plan.availability() >= v4_warm.availability();
-  const bool v5_exercised =
-      v5_replans > 0 && v5_plan.radio_uj > 0.0 && v5f_plan.resets > 0;
-  std::cout << "planning mission (" << v2_model.name() << "), horizon "
-            << v5_horizon << " slots, " << v5_batch << "-frame tx batches:\n"
-            << "  lateness front:     planner " << v5_plan.total_uj() / 1e6
-            << " J / " << v5_plan.mean_lateness_s() << " s vs predictive "
+      v5f_batched.total_uj() <= v4_warm.total_uj() &&
+      v5f_batched.availability() >= v4_warm.availability();
+  std::cout << "duty-cycled uplinks (" << v2_model.name() << "), " << v5_batch
+            << "-frame tx batches vs per-frame:\n"
+            << "  lateness front:     batched " << v5_batched.total_uj() / 1e6
+            << " J / " << v5_batched.mean_lateness_s() << " s vs predictive "
             << v3_pred.total_uj() / 1e6 << " J / "
             << v3_pred.mean_lateness_s() << " s — dominates="
             << (v5_dominates_lateness ? "yes" : "NO") << "\n"
-            << "  availability front: planner " << v5f_plan.total_uj() / 1e6
-            << " J / " << v5f_plan.availability() << " vs ckpt predictive "
+            << "  availability front: batched " << v5f_batched.total_uj() / 1e6
+            << " J / " << v5f_batched.availability() << " vs ckpt predictive "
             << v4_warm.total_uj() / 1e6 << " J / " << v4_warm.availability()
             << " — dominates=" << (v5_dominates_availability ? "yes" : "NO")
-            << "\n"
-            << "  " << v5_replans << " replans, " << v5_overrides
-            << " plan overrides of the myopic pick\n";
+            << "\n";
 
   // ---- Emit BENCH_scenario.json.
   std::ofstream os(out_path);
@@ -713,10 +694,7 @@ int main(int argc, char** argv) {
      << "  },\n"
      << "  \"mission_v5\": {\n"
      << "    \"model\": " << util::json_quoted(v2_model.name()) << ",\n"
-     << "    \"planner_horizon_slots\": " << v5_horizon << ",\n"
      << "    \"radio_batch_frames\": " << v5_batch << ",\n"
-     << "    \"planner_replans\": " << v5_replans << ",\n"
-     << "    \"planner_overrides\": " << v5_overrides << ",\n"
      << "    \"policies\": [\n";
   for (std::size_t i = 0; i < v5_reports.size(); ++i) {
     if (i) os << ",\n";
@@ -735,22 +713,22 @@ int main(int argc, char** argv) {
      << "    \"availability_pareto\": \n";
   write_availability_pareto_json(os, v5f_front, 4);
   os << ",\n"
-     << "    \"planner_total_uj\": " << v5_plan.total_uj() << ",\n"
-     << "    \"planner_mean_lateness_s\": " << v5_plan.mean_lateness_s()
+     << "    \"batched_total_uj\": " << v5_batched.total_uj() << ",\n"
+     << "    \"batched_mean_lateness_s\": " << v5_batched.mean_lateness_s()
      << ",\n"
      << "    \"predictive_total_uj\": " << v3_pred.total_uj() << ",\n"
      << "    \"predictive_mean_lateness_s\": " << v3_pred.mean_lateness_s()
      << ",\n"
-     << "    \"planner_fault_total_uj\": " << v5f_plan.total_uj() << ",\n"
-     << "    \"planner_availability\": " << v5f_plan.availability() << ",\n"
+     << "    \"batched_fault_total_uj\": " << v5f_batched.total_uj()
+     << ",\n"
+     << "    \"batched_availability\": " << v5f_batched.availability()
+     << ",\n"
      << "    \"ckpt_predictive_total_uj\": " << v4_warm.total_uj() << ",\n"
      << "    \"ckpt_predictive_availability\": " << v4_warm.availability()
      << ",\n"
-     << "    \"planner_exercised\": " << util::json_bool(v5_exercised)
-     << ",\n"
-     << "    \"planner_dominates_lateness\": "
+     << "    \"batching_dominates_lateness\": "
      << util::json_bool(v5_dominates_lateness) << ",\n"
-     << "    \"planner_dominates_availability\": "
+     << "    \"batching_dominates_availability\": "
      << util::json_bool(v5_dominates_availability) << "\n"
      << "  }\n}\n";
   os.close();
@@ -811,28 +789,21 @@ int main(int argc, char** argv) {
               << v4_cold_reac.availability() << ")\n";
     ok = false;
   }
-  if (!v5_exercised) {
-    std::cerr << "planner gate failed: the planning layer never engaged "
-                 "(replans " << v5_replans << ", radio "
-              << v5_plan.radio_uj << " uJ, fault resets " << v5f_plan.resets
-              << ")\n";
-    ok = false;
-  }
   if (!v5_dominates_lateness) {
-    std::cerr << "planner gate failed: planner+batching ("
-              << v5_plan.total_uj() / 1e6 << " J, mean lateness "
-              << v5_plan.mean_lateness_s()
-              << " s) does not dominate-or-tie the predictive governor ("
+    std::cerr << "batching gate failed: batched uplinks ("
+              << v5_batched.total_uj() / 1e6 << " J, mean lateness "
+              << v5_batched.mean_lateness_s()
+              << " s) do not dominate-or-tie per-frame uplinks ("
               << v3_pred.total_uj() / 1e6 << " J, mean lateness "
               << v3_pred.mean_lateness_s() << " s)\n";
     ok = false;
   }
   if (!v5_dominates_availability) {
-    std::cerr << "planner gate failed: planner+batching under faults ("
-              << v5f_plan.total_uj() / 1e6 << " J, availability "
-              << v5f_plan.availability()
-              << ") does not dominate-or-tie the checkpointed predictive "
-                 "governor (" << v4_warm.total_uj() / 1e6
+    std::cerr << "batching gate failed: batched uplinks under faults ("
+              << v5f_batched.total_uj() / 1e6 << " J, availability "
+              << v5f_batched.availability()
+              << ") do not dominate-or-tie per-frame uplinks ("
+              << v4_warm.total_uj() / 1e6
               << " J, availability " << v4_warm.availability() << ")\n";
     ok = false;
   }

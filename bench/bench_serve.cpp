@@ -13,10 +13,6 @@
 //                             configured cache bound and actually evicts;
 //   * cache_effective       — the seeded stream's hit rate clears a floor
 //                             (the stream revisits quantized cells);
-//   * dp_block_ok           — strip-blocking the MCKP DP inner loop is at
-//                             least break-even (full mode; smoke uses a
-//                             noise floor — scripts/check_bench_gates.py
-//                             re-derives the requirement from the mode);
 //   * metrics_match_stats   — serve.* counters published by answer_batch
 //                             agree with the server's own stats deltas.
 //
@@ -35,7 +31,6 @@
 #include "dse/design_space.hpp"
 #include "governor/governor.hpp"
 #include "graph/zoo.hpp"
-#include "mckp/mckp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "power/power_model.hpp"
@@ -93,44 +88,6 @@ std::string batch_stream(serve::ScheduleServer& server,
   std::ostringstream os;
   serve::write_answers_json(os, replies);
   return os.str();
-}
-
-/// Large synthetic MCKP instance for the strip-blocking A/B: wide DP
-/// (width * ~18 bytes far beyond L2) where the flat inner loop streams the
-/// dp/next/parent rows once per item while the blocked loop keeps each
-/// strip cache-resident across a whole class.
-mckp::Instance dp_bench_instance(int classes, int items) {
-  std::mt19937 rng(1234);
-  std::uniform_real_distribution<double> w(10.0, 900.0);
-  std::uniform_real_distribution<double> v(1.0, 100.0);
-  mckp::Instance inst;
-  double min_total = 0.0;
-  for (int k = 0; k < classes; ++k) {
-    std::vector<mckp::Item> cls;
-    double wmin = 1e18;
-    for (int j = 0; j < items; ++j) {
-      cls.push_back({w(rng), v(rng)});
-      wmin = std::min(wmin, cls.back().weight);
-    }
-    min_total += wmin;
-    inst.classes.push_back(std::move(cls));
-  }
-  inst.capacity = min_total * 4.0;
-  return inst;
-}
-
-double best_sweep_ms(const mckp::Instance& inst, int ticks, int reps,
-                     double* checksum) {
-  mckp::DpWorkspace ws;
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<mckp::Solution> sols =
-        mckp::solve_dp_sweep(inst, {inst.capacity}, ticks, ws);
-    best = std::min(best, wall_ms_since(t0));
-    *checksum = sols[0].feasible ? sols[0].total_value : -1.0;
-  }
-  return best;
 }
 
 }  // namespace
@@ -210,29 +167,6 @@ int main(int argc, char** argv) {
       bounded->cache_size() <= small_cfg.cache_capacity &&
       bounded->stats().evictions > 0;
 
-  // ---- DP strip-blocking A/B on a wide synthetic instance: flat loop
-  // (one strip spanning the whole row) vs the default block size.
-  std::cout << "mckp strip-blocking A/B...\n";
-  const int dp_classes = smoke ? 8 : 16;
-  const int dp_items = smoke ? 16 : 32;
-  const int dp_ticks = smoke ? 65536 : 262144;
-  const int dp_reps = smoke ? 2 : 3;
-  const mckp::Instance dp_inst = dp_bench_instance(dp_classes, dp_items);
-  const int restore_block = mckp::dp_block_cells();
-  double flat_value = 0.0, blocked_value = 0.0;
-  mckp::set_dp_block_cells(1 << 30);  // one flat strip
-  const double flat_ms = best_sweep_ms(dp_inst, dp_ticks, dp_reps, &flat_value);
-  mckp::set_dp_block_cells(mckp::kDefaultDpBlockCells);
-  const double blocked_ms =
-      best_sweep_ms(dp_inst, dp_ticks, dp_reps, &blocked_value);
-  mckp::set_dp_block_cells(restore_block);
-  const double dp_block_speedup = blocked_ms > 0.0 ? flat_ms / blocked_ms : 0.0;
-  // Full mode: blocking must be at least break-even on a wide DP. Smoke
-  // instances are small enough that timer noise dominates — a floor only.
-  const double dp_block_required = smoke ? 0.5 : 1.0;
-  const bool dp_block_ok = dp_block_speedup >= dp_block_required;
-  const bool dp_block_identical = flat_value == blocked_value;
-
   // ---- serve.* observability: counters published by a sink-carrying
   // batch agree with the server's own stats delta.
   obs::MetricsRegistry metrics;
@@ -286,16 +220,6 @@ int main(int argc, char** argv) {
      << "  \"hit_rate\": " << point_stats.hit_rate() << ",\n"
      << "  \"cache_entries\": " << server->cache_size() << ",\n"
      << "  \"dp_solves\": " << point_stats.dp_solves << ",\n"
-     << "  \"dp_block\": {\n"
-     << "    \"classes\": " << dp_classes << ",\n"
-     << "    \"items_per_class\": " << dp_items << ",\n"
-     << "    \"ticks\": " << dp_ticks << ",\n"
-     << "    \"block_cells\": " << mckp::kDefaultDpBlockCells << ",\n"
-     << "    \"flat_ms\": " << flat_ms << ",\n"
-     << "    \"blocked_ms\": " << blocked_ms << "\n"
-     << "  },\n"
-     << "  \"dp_block_speedup\": " << dp_block_speedup << ",\n"
-     << "  \"dp_block_required\": " << dp_block_required << ",\n"
      << "  \"cached_identical\": " << util::json_bool(cached_identical)
      << ",\n"
      << "  \"batch_thread_invariant\": "
@@ -304,21 +228,15 @@ int main(int argc, char** argv) {
      << "  \"eviction_bounded\": " << util::json_bool(eviction_bounded)
      << ",\n"
      << "  \"cache_effective\": " << util::json_bool(cache_effective) << ",\n"
-     << "  \"dp_block_ok\": " << util::json_bool(dp_block_ok) << ",\n"
-     << "  \"dp_block_identical\": " << util::json_bool(dp_block_identical)
-     << ",\n"
      << "  \"metrics_match_stats\": " << util::json_bool(metrics_match_stats)
      << "\n}\n";
   os.close();
 
   const bool ok = cached_identical && batch_thread_invariant &&
                   batch_complete && eviction_bounded && cache_effective &&
-                  dp_block_ok && dp_block_identical && metrics_match_stats;
+                  metrics_match_stats;
   std::cout << "point warm: " << qps(warm_ms) / 1e6 << " Mq/s, batch8: "
             << qps(batch_ms) / 1e6 << " Mq/s, hit rate "
-            << point_stats.hit_rate() << "\n"
-            << "dp blocking: " << flat_ms << " ms flat vs " << blocked_ms
-            << " ms blocked (" << dp_block_speedup << "x, required "
-            << dp_block_required << ") -> " << out_path << "\n";
+            << point_stats.hit_rate() << " -> " << out_path << "\n";
   return ok ? 0 : 1;
 }

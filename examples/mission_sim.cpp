@@ -6,8 +6,8 @@
 // walkthroughs: v1 duty cycle, v2 field conditions (heat soaks, uplink
 // blackouts, predictive pre-lock), v3 energy model (solar harvest + radio
 // costs), v4 faults (lossy uplink, brownout resets, checkpointed recovery),
-// v6 forecast-aware planning (horizon replay over the mission calendar,
-// duty-cycled uplink batches) — plus the optional --fleet v5 walkthrough.
+// v6 duty-cycled uplink batches — plus the optional --fleet v5
+// walkthrough.
 //
 //   $ ./build/mission_sim            # VWW
 //   $ ./build/mission_sim pd 0.2     # Person Detection, low-battery SoC 0.2
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "governor/governor.hpp"
-#include "governor/planning.hpp"
 #include "graph/zoo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
@@ -393,44 +392,30 @@ int main(int argc, char** argv) {
                  "any thread count (DAEDVFS_THREADS).\n";
   }
 
-  // ---- v6: the forecast-aware planning governor (governor/planning.hpp)
-  // on the same faulted, checkpointed mission — plus duty-cycled uplinks
-  // (radio_batch_frames = 8: one PA ramp amortized over eight payloads).
-  // The planner reads the mission calendar as a MissionForecast, replays
-  // the ladder rule over an 8-slot receding horizon at every decision, and
-  // pre-locks the sleep PLL for the slot the forecast says comes next
-  // instead of a frozen copy of the current one. Every reset invalidates
-  // the plan (plan_invalidate trace instant); the next choose() replans
-  // from the restored rung preference, so warm and cold reboots need no
-  // planner-specific recovery path.
+  // ---- v6: duty-cycled uplinks on the same faulted, checkpointed mission
+  // and the same predictive governor: radio_batch_frames = 8 pays one PA
+  // ramp per eight payloads, and the engine nets the amortized burst into
+  // the governor's catch-up budget.
   {
     scenario::MissionSpec v6 = v4_ckpt;
     v6.name = "sentry-2w-v6";
     v6.radio_batch_frames = 8;
-    governor::PlanningConfig pcfg;
-    pcfg.horizon = 8;
-    pcfg.forecast = governor::MissionForecast::from_spec(v6, gov.t_base_us());
-    const governor::PlanningPolicy planner(gov.rungs(), sim.switching,
-                                           sim.power, pcfg,
-                                           "planner+forecast", true);
-    scenario::MissionReport planned =
-        simulate_mission(v6, planner, gov.t_base_us(), sim);
-    planned.policy += "+ckpt";
-    std::cout << "\n=== v6: + planning — 8-slot horizon replay, 8-frame tx "
-                 "batches ===\n"
+    scenario::MissionReport batched =
+        simulate_mission(v6, pred, gov.t_base_us(), sim);
+    batched.policy += "+ckpt+batch8";
+    std::cout << "\n=== v6: + duty-cycled uplinks — 8-frame tx batches ===\n"
               << "policy              avail   dropped  retries  txfail  "
                  "resets  energy(J)\n";
-    fault_row(planned);
+    fault_row(batched);
     fault_row(warm);
     std::cout << "\nReading: batching pays the PA ramp once per eight "
                  "frames ("
-              << std::setprecision(1) << (warm.radio_uj - planned.radio_uj) / 1e6
-              << " J of radio\nenergy back) and the horizon replay spends "
-                 "it where the calendar says the\nnext tracking burst or "
-                 "window edge lands — same declared QoS, "
-              << std::setprecision(4) << planned.availability()
-              << "\navailability vs " << warm.availability()
-              << " for the myopic checkpointed governor.\n";
+              << std::setprecision(1)
+              << (warm.radio_uj - batched.radio_uj) / 1e6
+              << " J of radio\nenergy back) at the same declared QoS — "
+              << std::setprecision(4) << batched.availability()
+              << " availability vs " << warm.availability()
+              << "\nfor per-frame uplinks.\n";
   }
 
   if (!trace_path.empty()) {

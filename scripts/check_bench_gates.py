@@ -24,16 +24,11 @@ max(0.85, 0.45 * effective)) and recomputes speedup_ok /
 soa_no_regression from the raw numbers, so a hand-edited verdict cannot
 disagree with the measurements it claims to summarize.
 
-For BENCH_serve.json it likewise re-derives the DP strip-blocking
-requirement from the recorded mode (bench_serve.cpp: break-even 1.0 in
-full mode, a 0.5 noise floor in smoke) and recomputes dp_block_ok from
-dp_block_speedup.
-
-For BENCH_scenario.json it re-derives the mission_v5 planner verdicts
-(planner_dominates_lateness / planner_dominates_availability) from the
+For BENCH_scenario.json it re-derives the mission_v5 duty-cycling verdicts
+(batching_dominates_lateness / batching_dominates_availability) from the
 raw energy / lateness / availability numbers the bench recorded, with a
 relative epsilon absorbing the artifact's 6-significant-digit rounding —
-so a hand-edited "planner dominates" boolean cannot disagree with the
+so a hand-edited "batching dominates" boolean cannot disagree with the
 measurements next to it.
 
 Usage: python3 scripts/check_bench_gates.py [repo_root]
@@ -81,26 +76,6 @@ def check_fleet_derivations(doc):
         yield f"fleet derivation fields missing/malformed ({err!r})"
 
 
-def serve_required_dp_block(smoke):
-    return 0.5 if smoke else 1.0
-
-
-def check_serve_derivations(doc):
-    """Re-derives BENCH_serve.json's scaled verdicts; yields error strings."""
-    try:
-        required = serve_required_dp_block(bool(doc["smoke"]))
-        if abs(doc["dp_block_required"] - required) > 1e-9:
-            yield (f"dp_block_required {doc['dp_block_required']} != "
-                   f"{required} derived from smoke={doc['smoke']}")
-        if doc["dp_block_ok"] != (
-                doc["dp_block_speedup"] >= doc["dp_block_required"]):
-            yield (f"dp_block_ok inconsistent with speedup "
-                   f"{doc['dp_block_speedup']} vs required "
-                   f"{doc['dp_block_required']}")
-    except (KeyError, TypeError, ValueError) as err:
-        yield f"serve derivation fields missing/malformed ({err!r})"
-
-
 def dominates_or_ties(a, b, lower_is_better=True):
     """a dominates-or-ties b on one axis, within the artifact's rounding."""
     if lower_is_better:
@@ -109,34 +84,32 @@ def dominates_or_ties(a, b, lower_is_better=True):
 
 
 def check_scenario_derivations(doc):
-    """Re-derives BENCH_scenario.json's planner verdicts from raw numbers."""
+    """Re-derives BENCH_scenario.json's batching verdicts from raw numbers."""
     try:
         v5 = doc["mission_v5"]
         lateness = (
-            dominates_or_ties(v5["planner_total_uj"],
+            dominates_or_ties(v5["batched_total_uj"],
                               v5["predictive_total_uj"]) and
-            dominates_or_ties(v5["planner_mean_lateness_s"],
+            dominates_or_ties(v5["batched_mean_lateness_s"],
                               v5["predictive_mean_lateness_s"]))
-        if v5["planner_dominates_lateness"] and not lateness:
-            yield ("planner_dominates_lateness contradicted by raw numbers: "
-                   f"planner ({v5['planner_total_uj']} uJ, "
-                   f"{v5['planner_mean_lateness_s']} s) vs predictive "
+        if v5["batching_dominates_lateness"] and not lateness:
+            yield ("batching_dominates_lateness contradicted by raw numbers: "
+                   f"batched ({v5['batched_total_uj']} uJ, "
+                   f"{v5['batched_mean_lateness_s']} s) vs predictive "
                    f"({v5['predictive_total_uj']} uJ, "
                    f"{v5['predictive_mean_lateness_s']} s)")
         availability = (
-            dominates_or_ties(v5["planner_fault_total_uj"],
+            dominates_or_ties(v5["batched_fault_total_uj"],
                               v5["ckpt_predictive_total_uj"]) and
-            dominates_or_ties(v5["planner_availability"],
+            dominates_or_ties(v5["batched_availability"],
                               v5["ckpt_predictive_availability"],
                               lower_is_better=False))
-        if v5["planner_dominates_availability"] and not availability:
-            yield ("planner_dominates_availability contradicted by raw "
-                   f"numbers: planner ({v5['planner_fault_total_uj']} uJ, "
-                   f"availability {v5['planner_availability']}) vs ckpt "
+        if v5["batching_dominates_availability"] and not availability:
+            yield ("batching_dominates_availability contradicted by raw "
+                   f"numbers: batched ({v5['batched_fault_total_uj']} uJ, "
+                   f"availability {v5['batched_availability']}) vs ckpt "
                    f"predictive ({v5['ckpt_predictive_total_uj']} uJ, "
                    f"availability {v5['ckpt_predictive_availability']})")
-        if v5["planner_exercised"] and int(v5["planner_replans"]) <= 0:
-            yield "planner_exercised claimed with zero recorded replans"
     except (KeyError, TypeError, ValueError) as err:
         yield f"scenario derivation fields missing/malformed ({err!r})"
 
@@ -187,10 +160,6 @@ def main():
                 failed.append(f"{name}{path}")
         if name == "BENCH_fleet.json":
             for err in check_fleet_derivations(doc):
-                print(f"{name}: {err}", file=sys.stderr)
-                failed.append(f"{name}: derivation")
-        if name == "BENCH_serve.json":
-            for err in check_serve_derivations(doc):
                 print(f"{name}: {err}", file=sys.stderr)
                 failed.append(f"{name}: derivation")
         if name == "BENCH_scenario.json":

@@ -1,7 +1,6 @@
 #include "mckp/mckp.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -9,8 +8,6 @@ namespace daedvfs::mckp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::atomic<int> g_dp_block_cells{kDefaultDpBlockCells};
 
 Solution finalize(const Instance& inst, double capacity,
                   std::vector<int> chosen) {
@@ -60,20 +57,14 @@ struct DpGrid {
 /// some class has no items, or when a class exceeds kMaxClassItems — the
 /// int16_t parent table cannot index such a class, so the instance is
 /// rejected as infeasible instead of wrapping indices into a corrupt
-/// backtrack (the documented contract, mckp.hpp).
-///
-/// The per-class passes run strip-blocked (dp_block_cells() budget cells at
-/// a time, items looped inside each strip) so the dp/next/parent strips
-/// stay cache-resident across a class's items; per budget cell the item
-/// application order is unchanged (j ascending, strict '<' keeps the first
-/// minimum), so every block size produces bit-identical tables.
+/// backtrack (the documented contract, mckp.hpp). Items apply in ascending
+/// order and the strict '<' keeps the first minimum per budget cell.
 bool build_dp(const Instance& inst, const DpGrid& grid, DpWorkspace& ws) {
   const std::size_t n = inst.classes.size();
   for (const auto& cls : inst.classes) {
     if (cls.empty() || cls.size() > kMaxClassItems) return false;
   }
   const int width = grid.width;
-  const int block = dp_block_cells();
 
   // dp[w] = min value achievable using classes 0..k with total weight <= w.
   // The workspace grows monotonically and is reused across solves; only the
@@ -91,28 +82,21 @@ bool build_dp(const Instance& inst, const DpGrid& grid, DpWorkspace& ws) {
   const auto parent_row = [&](std::size_t k) {
     return ws.parent.data() + k * uwidth;
   };
-  // Item weights in ticks, hoisted out of the strip loop (recomputed per
-  // class, reused per strip).
-  std::vector<int> ticks;
+  // Item weight in ticks; `width` (no budget cell fits it) skips the item.
+  const auto item_ticks = [&](const Item& it) {
+    const int64_t wt = grid.to_ticks(it.weight);
+    return wt < width ? static_cast<int>(wt) : width;
+  };
 
   // Class 0 seeds the table.
   int16_t* par0 = parent_row(0);
   const std::vector<Item>& cls0 = inst.classes[0];
-  ticks.resize(cls0.size());
   for (std::size_t j = 0; j < cls0.size(); ++j) {
-    const int64_t wt = grid.to_ticks(cls0[j].weight);
-    ticks[j] = wt < width ? static_cast<int>(wt) : width;  // width = skip
-  }
-  for (int s0 = 0; s0 < width; s0 += block) {
-    const int s1 = std::min(width, s0 + block);
-    for (std::size_t j = 0; j < cls0.size(); ++j) {
-      const int wt = ticks[j];
-      const double value = cls0[j].value;
-      for (int w = std::max(s0, wt); w < s1; ++w) {
-        if (value < dp[static_cast<std::size_t>(w)]) {
-          dp[static_cast<std::size_t>(w)] = value;
-          par0[static_cast<std::size_t>(w)] = static_cast<int16_t>(j);
-        }
+    const double value = cls0[j].value;
+    for (int w = item_ticks(cls0[j]); w < width; ++w) {
+      if (value < dp[static_cast<std::size_t>(w)]) {
+        dp[static_cast<std::size_t>(w)] = value;
+        par0[static_cast<std::size_t>(w)] = static_cast<int16_t>(j);
       }
     }
   }
@@ -121,25 +105,16 @@ bool build_dp(const Instance& inst, const DpGrid& grid, DpWorkspace& ws) {
     std::fill_n(next.begin(), uwidth, kInf);
     int16_t* par = parent_row(k);
     const std::vector<Item>& cls = inst.classes[k];
-    ticks.resize(cls.size());
     for (std::size_t j = 0; j < cls.size(); ++j) {
-      const int64_t wt = grid.to_ticks(cls[j].weight);
-      ticks[j] = wt < width ? static_cast<int>(wt) : width;
-    }
-    for (int s0 = 0; s0 < width; s0 += block) {
-      const int s1 = std::min(width, s0 + block);
-      for (std::size_t j = 0; j < cls.size(); ++j) {
-        const int wt = ticks[j];
-        const double value = cls[j].value;
-        // dp[w - wt] streams sequentially within the strip.
-        for (int w = std::max(s0, wt); w < s1; ++w) {
-          const double base = dp[static_cast<std::size_t>(w - wt)];
-          if (base == kInf) continue;
-          const double v = base + value;
-          if (v < next[static_cast<std::size_t>(w)]) {
-            next[static_cast<std::size_t>(w)] = v;
-            par[static_cast<std::size_t>(w)] = static_cast<int16_t>(j);
-          }
+      const int wt = item_ticks(cls[j]);
+      const double value = cls[j].value;
+      for (int w = wt; w < width; ++w) {
+        const double base = dp[static_cast<std::size_t>(w - wt)];
+        if (base == kInf) continue;
+        const double v = base + value;
+        if (v < next[static_cast<std::size_t>(w)]) {
+          next[static_cast<std::size_t>(w)] = v;
+          par[static_cast<std::size_t>(w)] = static_cast<int16_t>(j);
         }
       }
     }
@@ -174,14 +149,6 @@ std::vector<int> backtrack(const Instance& inst, const DpGrid& grid,
 }
 
 }  // namespace
-
-int dp_block_cells() {
-  return g_dp_block_cells.load(std::memory_order_relaxed);
-}
-
-void set_dp_block_cells(int cells) {
-  g_dp_block_cells.store(cells < 1 ? 1 : cells, std::memory_order_relaxed);
-}
 
 Solution solve_dp(const Instance& inst, int max_ticks) {
   DpWorkspace ws;

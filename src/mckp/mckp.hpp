@@ -56,23 +56,6 @@ struct DpWorkspace {
 /// Per-layer Pareto fronts are orders of magnitude below this in practice.
 inline constexpr std::size_t kMaxClassItems = 32767;  // INT16_MAX
 
-/// DP inner-loop blocking (the serving hot path lever): budget cells are
-/// processed in strips of this many cells, looping a class's items *inside*
-/// each strip, so the next/parent strip being written stays cache-resident
-/// across all of a class's items instead of streaming the full O(width)
-/// row once per item (the dp[w - wt] reads land up to an item-weight away
-/// and stream regardless — the reuse is in the write side, which is why
-/// the default strip is sized for L1: 2048 cells = 16 KiB of next + 4 KiB
-/// of parent). Results are bit-identical for every block size — the
-/// per-cell item application order is unchanged — the knob only exists so
-/// bench_serve can A/B the blocked against the flat loop (a block >= the
-/// DP width is the flat loop). Values < 1 clamp to 1. The setter is for
-/// benches/tests on a quiescent solver; the getter is a relaxed atomic
-/// load, safe on concurrent solve paths.
-inline constexpr int kDefaultDpBlockCells = 2048;
-[[nodiscard]] int dp_block_cells();
-void set_dp_block_cells(int cells);
-
 /// Dynamic-programming solver. `max_ticks` bounds the DP width (capacity is
 /// discretized onto that many ticks; larger = finer = slower).
 [[nodiscard]] Solution solve_dp(const Instance& inst, int max_ticks = 20000);

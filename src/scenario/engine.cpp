@@ -422,12 +422,6 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       }
       n.predicted = -1;
       wake = wakes.boot_id();
-      // Any horizon plan a forecast-aware governor rolled forward dies with
-      // the volatile state — checkpoints never capture plans, so a restore
-      // replans from the restored rung preference alone.
-      if (tr != nullptr) {
-        tr->instant(obs::Track::kGovernor, "plan_invalidate", now_s * 1e6);
-      }
       if (n.ckpt.valid()) {
         while (!queue.empty() && queue.back() > n.ckpt.at_s) {
           queue.pop_back();
@@ -573,7 +567,6 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       ctx.window_remaining_s =
           link.gated() ? link.window_end() - serve_s : -1.0;
       ctx.radio_us = frame_radio_us;
-      ctx.harvest_mw = effective_intake_mw(spec, harvest_mw, ambient_c);
       ctx.wake_table = &wakes;
       ctx.wake_id = wake;
 

@@ -156,13 +156,10 @@ struct DegradedModeSpec {
 /// warm reboot: when it was taken (queued frames captured after it are
 /// lost), the active rung preference, and the degraded-mode miss EWMA.
 ///
-/// Volatile planning state is deliberately NOT here: PLL pre-locks and any
-/// horizon plan a forecast-aware governor (governor/planning.hpp) rolled
-/// forward die with the reset regardless of checkpointing — the engine
-/// emits a `plan_invalidate` trace instant on every reset, and the next
-/// choose() replans from the restored (or cold-booted) rung preference.
-/// Checkpointing a plan would be wrong anyway: the replay horizon starts
-/// from a wake state a reboot has invalidated.
+/// Volatile clock state is deliberately NOT here: a PLL pre-lock dies with
+/// the reset regardless of checkpointing (the node wakes into the boot
+/// clock), and the next choose() picks from the restored (or cold-booted)
+/// rung preference.
 struct GovernorCheckpoint {
   double at_s = -1.0;
   int rung = -1;

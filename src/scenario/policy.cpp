@@ -207,12 +207,6 @@ const TransitionCost* LadderPolicy::wake_row(
   return nullptr;
 }
 
-int LadderPolicy::raw_pick(const FrameContext& ctx,
-                           const TransitionCost* wake) const {
-  if (rungs_.empty()) return -1;
-  return pick_rung(rungs_, ctx, wake).rung;
-}
-
 int LadderPolicy::choose(const FrameContext& ctx, int current_rung) const {
   if (rungs_.empty()) return -1;
   std::vector<TransitionCost> repriced;

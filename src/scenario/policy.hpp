@@ -109,11 +109,6 @@ struct FrameContext {
   /// frame — payload-only for a follow frame riding an already-ramped PA —
   /// which is how batching is netted into the catch-up budget.
   double radio_us = 0.0;
-  /// Effective harvest intake (panel thermal derating applied) at the
-  /// frame's slot — forecast state the planning governor
-  /// (governor/planning.hpp) correlates with its harvest calendar. Always
-  /// populated by the engine; myopic policies ignore it.
-  double harvest_mw = 0.0;
   /// Clock-tree state at wake, when the engine tracks it (pre-lock aware):
   /// state `wake_id` of `wake_table`, the engine's interned wake states of
   /// this policy's ladder. Unset (nullptr / -1) on a cold start or when
@@ -311,29 +306,10 @@ class LadderPolicy : public SchedulePolicy {
   /// (governor.tier_* counters, docs/observability.md). Purely
   /// observational — decisions are unchanged; nullptr detaches. Counter
   /// references are hoisted here once so the per-frame cost is one pointer
-  /// test + increment. Virtual so planning subclasses can hoist their own
-  /// planner.* instruments alongside.
-  virtual void set_sink(obs::Sink* sink);
+  /// test + increment.
+  void set_sink(obs::Sink* sink);
 
  protected:
-  /// The tiered decision rule without metrics emission — the raw pick the
-  /// planning governor (governor/planning.cpp) replays over its lookahead
-  /// horizon. `wake` holds one wake-transition cost per rung (a wake_row(),
-  /// a table_ row, or table_.free_wake() for a pre-locked wake); nullptr is
-  /// a free-standing pick with no transition. Byte-for-byte the selection
-  /// loop choose()/predict_next() run, so a horizon rollout can never drift
-  /// from the online rule.
-  [[nodiscard]] int raw_pick(const FrameContext& ctx,
-                             const TransitionCost* wake) const;
-  /// Wake-cost row of the state `ctx`'s frame wakes into: the engine's
-  /// interned state when ctx carries one, else `current_rung`'s exit state,
-  /// else nullptr. An engine table priced with other switch/power
-  /// parameters than this ladder's is re-priced into `repriced` with the
-  /// ladder's own (a cold path: the governor and the engine share one
-  /// SimParams everywhere in this repository).
-  [[nodiscard]] const TransitionCost* wake_row(
-      const FrameContext& ctx, int current_rung,
-      std::vector<TransitionCost>& repriced) const;
   /// For subclasses (the governor) that build the ladder after base-class
   /// construction; they install it through set_rungs().
   LadderPolicy(clock::SwitchCostParams switching,
@@ -351,6 +327,16 @@ class LadderPolicy : public SchedulePolicy {
   bool predictive_ = false;
 
  private:
+  /// Wake-cost row of the state `ctx`'s frame wakes into: the engine's
+  /// interned state when ctx carries one, else `current_rung`'s exit state,
+  /// else nullptr. An engine table priced with other switch/power
+  /// parameters than this ladder's is re-priced into `repriced` with the
+  /// ladder's own (a cold path: the governor and the engine share one
+  /// SimParams everywhere in this repository).
+  [[nodiscard]] const TransitionCost* wake_row(
+      const FrameContext& ctx, int current_rung,
+      std::vector<TransitionCost>& repriced) const;
+
   /// Hoisted metrics instruments (owned by the attached registry). The
   /// pointees are bumped from the const decision methods — observational
   /// state, not decision state.

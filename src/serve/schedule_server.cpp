@@ -43,7 +43,8 @@ double StateGrid::slack_value(int cell) const {
 
 int StateGrid::slack_cell(double slack) const {
   const int cells = clamp_cells(slack_cells);
-  if (cells <= 1 || slack_max <= slack_min) return 0;
+  // NaN slack: the tightest deadline cell.
+  if (cells <= 1 || slack_max <= slack_min || std::isnan(slack)) return 0;
   const double s = std::clamp(slack, slack_min, slack_max);
   const double step = (slack_max - slack_min) / static_cast<double>(cells - 1);
   // Floor with a grid-point epsilon: an exact grid value lands on its own
@@ -62,6 +63,7 @@ double StateGrid::temp_value(int cell) const {
 int StateGrid::temp_cell(double ambient_c) const {
   const int cells = clamp_cells(temp_cells);
   if (cells <= 1 || temp_max <= temp_min) return 0;
+  if (std::isnan(ambient_c)) return cells - 1;  // NaN ambient: hottest cell.
   const double t = std::clamp(ambient_c, temp_min, temp_max);
   const double step = (temp_max - temp_min) / static_cast<double>(cells - 1);
   // Ceil with a grid-point epsilon: between grid points rounds UP to the
@@ -72,6 +74,7 @@ int StateGrid::temp_cell(double ambient_c) const {
 
 int StateGrid::soc_band(double soc) const {
   const int bands = clamp_cells(soc_bands);
+  if (std::isnan(soc)) return 0;  // NaN SoC: the emptiest band.
   const double s = std::clamp(soc, 0.0, 1.0);
   const int band = static_cast<int>(std::floor(s * static_cast<double>(bands)));
   return std::clamp(band, 0, bands - 1);
@@ -152,7 +155,9 @@ QuantizedState ScheduleServer::quantize(const DeviceState& state) const {
   q.temp_cell = cfg_.grid.temp_cell(state.ambient_c);
   q.soc_band = cfg_.grid.soc_band(state.soc);
   q.effective_cell = q.slack_cell;
-  if (state.window_remaining_s >= 0.0) {
+  if (std::isnan(state.window_remaining_s)) {
+    q.effective_cell = 0;  // Unknown link state: the fastest cell.
+  } else if (state.window_remaining_s >= 0.0) {
     // Backlog catch-up budget (the LadderPolicy rule): each queued frame's
     // share of the closing window, tightening-only. The budget maps DOWN to
     // the largest grid deadline it still covers; below the fastest cell the

@@ -58,7 +58,8 @@ struct DeviceState {
   double ambient_c = 25.0;   ///< Ambient temperature at the node.
   double soc = 1.0;          ///< Battery state of charge in [0, 1].
   std::uint32_t backlog = 0; ///< Frames queued behind the uplink.
-  /// Time left in the node's connectivity window; < 0 = unbounded.
+  /// Time left in the node's connectivity window; < 0 = unbounded, NaN =
+  /// unknown (served at the tightest deadline cell).
   double window_remaining_s = -1.0;
 };
 
@@ -79,15 +80,16 @@ struct StateGrid {
   /// Representative slack of a cell (the cell's lower edge — the tighter
   /// deadline, so serving the cell value is safe for every state in it).
   [[nodiscard]] double slack_value(int cell) const;
-  /// Cell of a raw slack: clamped, floored (conservative).
+  /// Cell of a raw slack: clamped, floored (conservative); NaN -> cell 0.
   [[nodiscard]] int slack_cell(double slack) const;
   /// Representative ambient of a cell (the cell's upper edge — hotter, so
   /// the thermal cap derived from it is safe for every state in it).
   [[nodiscard]] double temp_value(int cell) const;
-  /// Cell of a raw ambient: clamped, ceiled (conservative).
+  /// Cell of a raw ambient: clamped, ceiled (conservative); NaN -> the
+  /// hottest cell.
   [[nodiscard]] int temp_cell(double ambient_c) const;
   /// Band of a raw SoC: clamped to [0, 1], floored onto `soc_bands` equal
-  /// bands (conservative: emptier).
+  /// bands (conservative: emptier); NaN -> band 0.
   [[nodiscard]] int soc_band(double soc) const;
   /// Representative SoC of a band (lower edge).
   [[nodiscard]] double soc_value(int band) const;

@@ -10,9 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
-#include "governor/planning.hpp"
 #include "scenario/engine.hpp"
 #include "sim/mcu.hpp"
 
@@ -53,6 +53,16 @@ inline double mixed_rung_slack() {
   return d / kSyntheticTBase - 1.0;
 }
 
+/// Seed count of the fuzz corpus: 200 by default, reduced by the sanitizer
+/// CI job through the DAEDVFS_FUZZ_SEEDS environment variable.
+inline int fuzz_seed_count() {
+  if (const char* env = std::getenv("DAEDVFS_FUZZ_SEEDS")) {
+    const int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  return 200;
+}
+
 /// Deterministic, implementation-independent generator for the fuzz specs
 /// (std::uniform_* distributions are not bit-portable across standard
 /// libraries; this xorshift64 is).
@@ -79,26 +89,19 @@ class SpecRng {
 /// perturbs the legacy part of a seed's spec.
 struct SpecFeatures {
   bool faults = false;  ///< Resets/checkpoints, lossy radio, degradation.
-  /// Forecast-error dimensions (PR 10): surprise bursts the planner's
-  /// forecast does not know about, harvest forecast noise, and
-  /// window-calendar drift. Drawn from a third independent seeded stream,
-  /// so enabling them perturbs neither the legacy nor the fault draws of a
-  /// seed's spec — and only the surprise bursts touch the *spec*; the
-  /// noise/drift distort the forecast alone (fuzz_forecast below).
-  bool forecast = false;
+  /// Radio duty-cycling: a random MissionSpec::radio_batch_frames, drawn
+  /// after the fault dimensions so it perturbs neither the legacy nor the
+  /// fault draws of a seed's spec.
+  bool batching = false;
 };
-
-/// Salt of the forecast-error stream — the third independent xorshift
-/// stream, alongside the jitter stream (seed) and the fault stream
-/// (seed ^ engine salt).
-inline constexpr std::uint64_t kForecastStreamSalt = 0xf04eca57ULL;
 
 /// The one seeded random-MissionSpec builder shared by the fuzz harness and
 /// the fault tests (no copy-pasted spec literals): bursts x QoS events x
 /// temperature derating x connectivity windows x harvest x radio x
 /// low-battery thresholds x period jitter, plus — behind
 /// SpecFeatures::faults — reset/checkpoint schedules, lossy-radio
-/// retry/backoff parameters, and the graceful-degradation ladder.
+/// retry/backoff parameters and the graceful-degradation ladder; behind
+/// SpecFeatures::batching, uplink batch sizes.
 inline MissionSpec random_mission_spec(std::uint64_t seed,
                                        const SpecFeatures& features = {}) {
   SpecRng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
@@ -201,58 +204,11 @@ inline MissionSpec random_mission_spec(std::uint64_t seed,
     }
   }
 
-  // ---- Forecast-error dimensions (third stream; see SpecFeatures). The
-  // surprise bursts are REAL events appended to the spec; the harvest
-  // noise and window drift are drawn here (stream position!) but applied
-  // only to the planner's forecast by fuzz_forecast, which replays this
-  // exact draw sequence.
-  if (features.forecast) {
-    SpecRng frng((seed ^ kForecastStreamSalt) * 0x9e3779b97f4a7c15ULL + 1);
-    const int n_surprise = frng.upto(3);
-    for (int i = 0; i < n_surprise; ++i) {
-      spec.bursts.push_back({frng.range(0.0, spec.horizon_s),
-                             frng.range(100.0, 20000.0),
-                             frng.range(0.5, 5.0)});
-    }
-    if (rng.coin()) {
-      spec.radio_batch_frames = static_cast<std::uint32_t>(1 + rng.upto(16));
-    }
-    (void)frng.range(0.5, 1.5);       // harvest forecast noise (forecast-only)
-    (void)frng.range(-600.0, 600.0);  // window calendar drift (forecast-only)
+  // ---- Radio duty-cycling (appended after the faults; see SpecFeatures).
+  if (features.batching && rng.coin()) {
+    spec.radio_batch_frames = static_cast<std::uint32_t>(1 + rng.upto(16));
   }
   return spec;
-}
-
-/// The distorted forecast matching a `features.forecast` spec: replays the
-/// spec builder's third-stream draws to (a) strip the surprise bursts the
-/// planner must not foresee, (b) scale every forecast harvest step by the
-/// noise factor, and (c) drift the forecast window calendar — so the
-/// planner plans against a *wrong* calendar while the engine runs the real
-/// one. For a spec built without `features.forecast` this is simply the
-/// perfect forecast.
-inline governor::MissionForecast fuzz_forecast(
-    const MissionSpec& spec, std::uint64_t seed,
-    double t_base_us = kSyntheticTBase) {
-  SpecRng frng((seed ^ kForecastStreamSalt) * 0x9e3779b97f4a7c15ULL + 1);
-  MissionSpec known = spec;
-  const int n_surprise = frng.upto(3);
-  for (int i = 0; i < n_surprise; ++i) {
-    frng.unit();  // start_s draw
-    frng.unit();  // duration_s draw
-    frng.unit();  // period_s draw
-    if (!known.bursts.empty()) known.bursts.pop_back();  // appended last
-  }
-  const double harvest_noise = frng.range(0.5, 1.5);
-  const double window_drift_s = frng.range(-600.0, 600.0);
-  governor::MissionForecast f =
-      governor::MissionForecast::from_spec(known, t_base_us);
-  f.base_harvest_mw *= harvest_noise;
-  for (HarvestEvent& h : f.harvest) h.intake_mw *= harvest_noise;
-  for (governor::ForecastSpan& s : f.windows) {
-    s.start_s += window_drift_s;
-    s.end_s += window_drift_s;
-  }
-  return f;
 }
 
 /// The MissionReport invariants every scenario — fuzzed or hand-written —

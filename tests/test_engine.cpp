@@ -3,10 +3,12 @@
 // guarantee at model scale.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 
 #include "graph/builder.hpp"
 #include "graph/zoo.hpp"
+#include "runtime/baseline.hpp"
 #include "runtime/engine.hpp"
 
 namespace daedvfs::runtime {
@@ -195,6 +197,59 @@ TEST(Engine, FullVwwInferenceRuns) {
                             kernels::ExecMode::kFull, random_input(m, 4));
   EXPECT_EQ(r.output.size(), 2u);
   EXPECT_GT(r.total_us, 1000.0);
+}
+
+// ---- Scratch placement: the tiled layers' scratch buffer in DTCM ---------
+
+/// Three tileable layers (conv -> depthwise -> pointwise): every layer runs
+/// at granularity 4, so each one allocates scratch.
+graph::Model scratch_model() {
+  graph::ModelBuilder b("tiny", 16, 16, 3, 99);
+  const int c1 = b.conv2d(graph::ModelBuilder::input(), 8, 3, 2, true);
+  const int d1 = b.depthwise(c1, 3, 1, true);
+  b.pointwise(d1, 8, false);
+  return b.take();
+}
+
+TEST(ScratchPlacement, DtcmRemovesBufferCacheTraffic) {
+  const graph::Model m = scratch_model();
+  Schedule s = make_tinyengine_schedule(m);
+  for (auto& plan : s.plans) {
+    plan.granularity = 4;
+    plan.dvfs_enabled = true;
+  }
+  auto run_with = [&](std::optional<sim::MemRegion> region) {
+    InferenceEngine engine(m);
+    if (region) engine.place_scratch(*region);
+    sim::Mcu mcu = fresh_mcu(tinyengine_clock());
+    const auto r = engine.run(mcu, s, kernels::ExecMode::kTiming);
+    return std::pair{r.total_us, mcu.cache().stats().misses};
+  };
+  const auto sram = run_with(std::nullopt);
+  const auto dtcm = run_with(sim::MemRegion::kDtcm);
+  EXPECT_LT(dtcm.second, sram.second)
+      << "DTCM scratch must not consume cache lines";
+  EXPECT_LT(dtcm.first, sram.first)
+      << "uncached single-cycle scratch must be faster";
+}
+
+TEST(ScratchPlacement, NumericsUnchanged) {
+  const graph::Model m = scratch_model();
+  Schedule s = make_tinyengine_schedule(m);
+  for (auto& plan : s.plans) plan.granularity = 4;
+  std::vector<int8_t> in(static_cast<std::size_t>(m.input_shape().elems()),
+                         7);
+  auto out_with = [&](sim::MemRegion region) {
+    InferenceEngine engine(m);
+    engine.place_scratch(region);
+    sim::Mcu mcu = fresh_mcu(tinyengine_clock());
+    return engine
+        .run(mcu, s, kernels::ExecMode::kFull,
+             std::span<const int8_t>(in.data(), in.size()))
+        .output;
+  };
+  EXPECT_EQ(out_with(sim::MemRegion::kSram),
+            out_with(sim::MemRegion::kDtcm));
 }
 
 }  // namespace

@@ -322,37 +322,5 @@ TEST(Dp, OversizeClassIsRejectedNotWrapped) {
   EXPECT_EQ(at_limit.chosen[0], 0) << "min-value item of the class";
 }
 
-TEST(Dp, BlockedSweepMatchesUnblockedBitwise) {
-  // Strip-blocking the DP inner loop is a pure traversal reordering: the
-  // per-cell item application order is unchanged, so every block size must
-  // give bitwise-identical tables (and thus solutions) — including block
-  // sizes smaller than, equal to, and far larger than the DP width.
-  const int restore = dp_block_cells();
-  for (uint32_t seed = 70; seed < 75; ++seed) {
-    const Instance inst = random_instance(seed, 11, 6, 0.4);
-    const std::vector<double> caps = {inst.capacity * 0.6, inst.capacity,
-                                      inst.capacity * 1.5};
-    set_dp_block_cells(1 << 30);  // one flat strip: the unblocked loop
-    DpWorkspace ws_flat;
-    const std::vector<Solution> flat = solve_dp_sweep(inst, caps, 6000,
-                                                      ws_flat);
-    for (int block : {1, 7, 64, 1024, kDefaultDpBlockCells}) {
-      set_dp_block_cells(block);
-      DpWorkspace ws;
-      const std::vector<Solution> blocked = solve_dp_sweep(inst, caps, 6000,
-                                                           ws);
-      ASSERT_EQ(blocked.size(), flat.size());
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        ASSERT_EQ(blocked[i].feasible, flat[i].feasible)
-            << "seed " << seed << " block " << block << " cap " << i;
-        EXPECT_EQ(blocked[i].chosen, flat[i].chosen);
-        EXPECT_EQ(blocked[i].total_value, flat[i].total_value);
-        EXPECT_EQ(blocked[i].total_weight, flat[i].total_weight);
-      }
-    }
-  }
-  set_dp_block_cells(restore);
-}
-
 }  // namespace
 }  // namespace daedvfs::mckp

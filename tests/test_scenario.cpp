@@ -613,5 +613,101 @@ TEST(ScenarioEnergyV2, CatchUpBudgetAccountsForRadioTime) {
       << "the burst must push the choice to the faster mixed rung";
 }
 
+/// Gated link with periodic windows plus radio batching: the backlog
+/// queued in each dark gap drains at the next window opening, well inside
+/// the slot budget.
+MissionSpec edge_spec() {
+  MissionSpec spec;
+  spec.name = "batching-edge";
+  spec.horizon_s = 40000.0;
+  spec.duty.period_s = 10.0;
+  spec.duty.sleep_mw = 0.5;
+  spec.battery = {300.0, 0.01, 0.0, 0.0};
+  spec.base_qos_slack = 0.4;
+  spec.connectivity = {{0.0, 8000.0}, {16000.0, 8000.0}, {32000.0, 8000.0}};
+  spec.uplink_queue_frames = 128;
+  spec.radio = {250.0, 256.0, 80.0, 1500.0};
+  spec.radio_batch_frames = 8;
+  return spec;
+}
+
+TEST(ScenarioEnergyV2, BatchedUplinksDifferential) {
+  const sim::SimParams sim;
+  const LadderPolicy gov = make_synthetic_ladder(true, true);
+  const int seeds = std::max(25, fuzz_seed_count() / 4);
+  int identical_flows = 0;
+  for (int seed = 0; seed < seeds; ++seed) {
+    MissionSpec spec = random_mission_spec(static_cast<std::uint64_t>(seed));
+    if (!power::RadioModel(spec.radio).enabled()) {
+      spec.radio = {250.0, 256.0, 80.0, 1500.0};
+    }
+    MissionSpec per_frame = spec;
+    per_frame.radio_batch_frames = 1;
+    MissionSpec batched = spec;
+    batched.radio_batch_frames = 8;
+    const MissionReport p = simulate_mission(per_frame, gov, kTBase, sim);
+    const MissionReport b = simulate_mission(batched, gov, kTBase, sim);
+    check_mission_invariants(per_frame, p);
+    check_mission_invariants(batched, b);
+    const bool same_flow =
+        p.frames_offered == b.frames_offered &&
+        p.frames_captured == b.frames_captured && p.frames == b.frames &&
+        p.frames_shed == b.frames_shed &&
+        p.frames_dropped == b.frames_dropped &&
+        p.frames_pending == b.frames_pending;
+    if (same_flow) {
+      // The common case: batching changes WHAT a frame's uplink costs,
+      // not WHICH frames flow through the mission. Amortized ramps can
+      // only remove radio energy, and a shorter drain can only relax the
+      // catch-up budget — the declared-QoS ledger never gets worse.
+      ++identical_flows;
+      EXPECT_LE(b.radio_uj, p.radio_uj * (1.0 + 1e-9) + 1e-6)
+          << "seed " << seed << ": batching made the radio MORE expensive";
+      EXPECT_LE(b.deadline_misses, p.deadline_misses)
+          << "seed " << seed << ": batching increased declared-QoS misses";
+    } else {
+      // The slot-fit boundary moved: shorter batched frames squeezed
+      // extra serves into the same windows, and from there the timelines
+      // legitimately diverge. Delivery may only have improved, and the
+      // per-frame radio price may only have dropped.
+      EXPECT_GE(b.frames, p.frames)
+          << "seed " << seed
+          << ": a diverged batched drain must deliver at least as much";
+      ASSERT_GT(p.frames, 0u) << "seed " << seed;
+      EXPECT_LE(b.radio_uj / static_cast<double>(b.frames),
+                p.radio_uj / static_cast<double>(p.frames) * (1.0 + 1e-9) +
+                    1e-6)
+          << "seed " << seed << ": per-frame radio price went up";
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "differential at seed "
+                                              << seed;
+  }
+  // The strict branch must dominate the corpus, or the differential is
+  // testing nothing.
+  EXPECT_GT(identical_flows, seeds / 2)
+      << "slot-fit divergence should be the exception, not the rule";
+
+  // And one hand-built mission where the flows MUST coincide — a backlog
+  // that drains well inside each window, so the slot-fit boundary never
+  // moves — pinning the full strict differential including a real saving.
+  MissionSpec pinned = edge_spec();
+  pinned.faults = {};
+  pinned.period_jitter = 0.0;
+  MissionSpec pinned_per = pinned;
+  pinned_per.radio_batch_frames = 1;
+  const MissionReport pp = simulate_mission(pinned_per, gov, kTBase, sim);
+  const MissionReport pb = simulate_mission(pinned, gov, kTBase, sim);
+  EXPECT_EQ(pp.frames_offered, pb.frames_offered);
+  EXPECT_EQ(pp.frames_captured, pb.frames_captured);
+  EXPECT_EQ(pp.frames, pb.frames);
+  EXPECT_EQ(pp.frames_shed, pb.frames_shed);
+  EXPECT_EQ(pp.frames_dropped, pb.frames_dropped);
+  EXPECT_EQ(pp.frames_pending, pb.frames_pending);
+  EXPECT_EQ(pp.deadline_misses, pb.deadline_misses);
+  EXPECT_LT(pb.radio_uj, pp.radio_uj)
+      << "the pinned drain amortizes ramps: the saving must be real";
+  EXPECT_LT(pb.total_uj(), pp.total_uj());
+}
+
 }  // namespace
 }  // namespace daedvfs::scenario

@@ -72,14 +72,6 @@ std::string report_json(const MissionReport& r) {
   return os.str();
 }
 
-int fuzz_seed_count() {
-  if (const char* env = std::getenv("DAEDVFS_FUZZ_SEEDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 200;
-}
-
 std::string trace_json(const obs::TraceRecorder& tr) {
   std::ostringstream os;
   tr.write_chrome_json(os);
@@ -104,6 +96,28 @@ TEST(ScenarioFuzz, SameSeedSameBytesAndInvariantsHold) {
     const MissionReport b = simulate_mission(spec, policy, kTBase, sim);
     ASSERT_EQ(report_json(a), report_json(b))
         << "seed " << seed << " is not run-to-run deterministic";
+    check_mission_invariants(spec, a);
+    if (::testing::Test::HasFailure()) FAIL() << "invariants at seed " << seed;
+  }
+}
+
+// Radio duty-cycling on top of the fault corpus: random uplink batch sizes
+// on the predictive ladder must keep every report deterministic and every
+// invariant (the radio-energy brackets included) intact.
+TEST(ScenarioFuzz, BatchedUplinkInvariantsHold) {
+  const sim::SimParams sim;
+  const LadderPolicy gov = fuzz_ladder(true);
+  SpecFeatures features;
+  features.faults = true;
+  features.batching = true;
+  const int seeds = fuzz_seed_count();
+  for (int seed = 0; seed < seeds; ++seed) {
+    const MissionSpec spec =
+        random_mission_spec(static_cast<std::uint64_t>(seed), features);
+    const MissionReport a = simulate_mission(spec, gov, kTBase, sim);
+    const MissionReport b = simulate_mission(spec, gov, kTBase, sim);
+    ASSERT_EQ(report_json(a), report_json(b))
+        << "seed " << seed << ": batched uplinks broke determinism";
     check_mission_invariants(spec, a);
     if (::testing::Test::HasFailure()) FAIL() << "invariants at seed " << seed;
   }

@@ -5,6 +5,7 @@
 // the serve.* observability surface.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -161,6 +162,16 @@ TEST(Serve, QuantizationIsConservative) {
   EXPECT_EQ(server.quantize({0.1, 25.0, 0.75, 0, -1.0}).soc_band, 3);
   EXPECT_EQ(server.quantize({0.1, 25.0, 1.0, 0, -1.0}).soc_band, 3);
   EXPECT_EQ(server.quantize({0.1, 25.0, -0.5, 0, -1.0}).soc_band, 0);
+  // NaN inputs land on the conservative cell instead of an int cast.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const QuantizedState q_slack = server.quantize({nan, 25.0, 1.0, 0, -1.0});
+  EXPECT_EQ(q_slack.slack_cell, 0);
+  EXPECT_EQ(q_slack.effective_cell, 0);
+  EXPECT_EQ(server.quantize({0.1, nan, 1.0, 0, -1.0}).temp_cell, 16);
+  EXPECT_EQ(server.quantize({0.1, 25.0, nan, 0, -1.0}).soc_band, 0);
+  const QuantizedState q_window = server.quantize({0.5, 25.0, 1.0, 3, nan});
+  EXPECT_EQ(q_window.slack_cell, 10);
+  EXPECT_EQ(q_window.effective_cell, 0);
 }
 
 TEST(Serve, BacklogTightensEffectiveCell) {
