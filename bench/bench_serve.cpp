@@ -1,20 +1,17 @@
 // Schedule-serving benchmark: a ScheduleServer built from a real governor
 // ladder (make_server) answering a seeded stream of device states, point
-// and batch. Emits BENCH_serve.json with the gates the PR's acceptance
-// criteria pin:
+// and batch. Emits BENCH_serve.json with the gates the serving contract
+// pins:
 //
-//   * cached_identical      — answers served from the cache are
-//                             byte-identical (answer_json) to fresh
-//                             resolves of the same state;
+//   * cached_identical      — answer() is byte-identical (answer_json) to
+//                             answer_fresh() for the same state;
 //   * batch_thread_invariant — the batch reply stream is byte-identical
 //                             across 0/1/8-worker pools (preassigned reply
-//                             slots + per-call parallel_for tracking);
-//   * eviction_bounded      — a capacity-bounded server never exceeds its
-//                             configured cache bound and actually evicts;
-//   * cache_effective       — the seeded stream's hit rate clears a floor
-//                             (the stream revisits quantized cells);
-//   * metrics_match_stats   — serve.* counters published by answer_batch
-//                             agree with the server's own stats deltas.
+//                             slots + per-call parallel_for tracking, reads
+//                             of the server's immutable tables);
+//   * batch_complete        — one reply per query;
+//   * metrics_match_stats   — serve.queries published by answer_batch
+//                             agrees with the server's own stats delta.
 //
 //   $ ./build/bench_serve                   # full, BENCH_serve.json
 //   $ ./build/bench_serve smoke out.json    # CI-sized
@@ -108,24 +105,21 @@ int main(int argc, char** argv) {
   const double ladder_ms = wall_ms_since(t_ladder);
 
   const serve::ServerConfig cfg = serve_config();
+  const auto t_setup = std::chrono::steady_clock::now();
   std::unique_ptr<serve::ScheduleServer> server =
       serve::make_server(governor, cfg);
+  const double setup_ms = wall_ms_since(t_setup);
 
   const std::size_t n_queries = smoke ? 5000 : 100000;
   const std::vector<serve::DeviceState> queries = make_queries(n_queries);
 
-  // ---- Point-query throughput: cold pass populates the cache, warm pass
-  // measures the steady serving state.
-  std::cout << "serve " << n_queries << " point queries (cold)...\n";
-  const auto t_cold = std::chrono::steady_clock::now();
+  // ---- Point-query throughput over the stream.
+  std::cout << "serve " << n_queries << " point queries...\n";
+  const auto t_point = std::chrono::steady_clock::now();
   for (const serve::DeviceState& q : queries) (void)server->answer(q);
-  const double cold_ms = wall_ms_since(t_cold);
-  const auto t_warm = std::chrono::steady_clock::now();
-  for (const serve::DeviceState& q : queries) (void)server->answer(q);
-  const double warm_ms = wall_ms_since(t_warm);
-  const serve::ScheduleServer::Stats point_stats = server->stats();
+  const double point_ms = wall_ms_since(t_point);
 
-  // ---- Identity gate: cached answers byte-equal fresh resolves.
+  // ---- Identity gate: answer() byte-equals answer_fresh().
   bool cached_identical = true;
   const std::size_t stride = std::max<std::size_t>(1, n_queries / 1000);
   for (std::size_t i = 0; i < n_queries; i += stride) {
@@ -137,8 +131,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Batch fan-out: byte-identical reply stream for 0/1/8 workers
-  // (fresh server per run — cache history must not matter either), plus
-  // throughput at 8 workers on the warmed main server.
+  // (fresh server per run), plus throughput at 8 workers.
   std::cout << "serve batch invariance (0/1/8 workers)...\n";
   const std::string stream0 =
       batch_stream(*serve::make_server(governor, cfg), queries, 0);
@@ -155,20 +148,8 @@ int main(int argc, char** argv) {
   const double batch_ms = wall_ms_since(t_batch);
   const bool batch_complete = batch_replies.size() == queries.size();
 
-  // ---- Eviction bound: a deliberately small cache must stay within its
-  // configured capacity while still serving correct (fresh-identical)
-  // answers.
-  serve::ServerConfig small_cfg = cfg;
-  small_cfg.cache_capacity = 256;
-  std::unique_ptr<serve::ScheduleServer> bounded =
-      serve::make_server(governor, small_cfg);
-  for (const serve::DeviceState& q : queries) (void)bounded->answer(q);
-  const bool eviction_bounded =
-      bounded->cache_size() <= small_cfg.cache_capacity &&
-      bounded->stats().evictions > 0;
-
-  // ---- serve.* observability: counters published by a sink-carrying
-  // batch agree with the server's own stats delta.
+  // ---- serve.* observability: the counter published by a sink-carrying
+  // batch agrees with the server's own stats delta.
   obs::MetricsRegistry metrics;
   obs::Sink sink;
   sink.metrics = &metrics;
@@ -177,19 +158,8 @@ int main(int argc, char** argv) {
   const serve::ScheduleServer::Stats before = observed->stats();
   (void)observed->answer_batch(queries, pool8, 64, &sink);
   const serve::ScheduleServer::Stats after = observed->stats();
-  const bool metrics_match_stats =
-      metrics.counter("serve.queries").value() == after.queries - before.queries &&
-      metrics.counter("serve.cache_hits").value() == after.hits - before.hits &&
-      metrics.counter("serve.cache_misses").value() ==
-          after.misses - before.misses &&
-      metrics.counter("serve.dp_solves").value() ==
-          after.dp_solves - before.dp_solves &&
-      metrics.gauge("serve.cache_entries").value() ==
-          static_cast<double>(observed->cache_size());
-
-  // The seeded stream revisits quantized cells heavily; steady-state
-  // serving must be mostly hits.
-  const bool cache_effective = point_stats.hit_rate() >= 0.5;
+  const bool metrics_match_stats = metrics.counter("serve.queries").value() ==
+                                   after.queries - before.queries;
 
   const auto qps = [&](double ms) {
     return ms > 0.0 ? static_cast<double>(n_queries) / (ms * 1e-3) : 0.0;
@@ -202,41 +172,30 @@ int main(int argc, char** argv) {
      << "  \"model\": " << util::json_quoted(model.name()) << ",\n"
      << "  \"rungs\": " << server->rungs().size() << ",\n"
      << "  \"n_queries\": " << n_queries << ",\n"
-     << "  \"shards\": " << cfg.shards << ",\n"
-     << "  \"cache_capacity\": " << cfg.cache_capacity << ",\n"
      << "  \"ladder_ms\": " << ladder_ms << ",\n"
-     << "  \"point_cold\": {\n"
-     << "    \"wall_ms\": " << cold_ms << ",\n"
-     << "    \"queries_per_sec\": " << qps(cold_ms) << "\n"
-     << "  },\n"
-     << "  \"point_warm\": {\n"
-     << "    \"wall_ms\": " << warm_ms << ",\n"
-     << "    \"queries_per_sec\": " << qps(warm_ms) << "\n"
+     << "  \"setup_ms\": " << setup_ms << ",\n"
+     << "  \"point\": {\n"
+     << "    \"wall_ms\": " << point_ms << ",\n"
+     << "    \"queries_per_sec\": " << qps(point_ms) << "\n"
      << "  },\n"
      << "  \"batch8\": {\n"
      << "    \"wall_ms\": " << batch_ms << ",\n"
      << "    \"queries_per_sec\": " << qps(batch_ms) << "\n"
      << "  },\n"
-     << "  \"hit_rate\": " << point_stats.hit_rate() << ",\n"
-     << "  \"cache_entries\": " << server->cache_size() << ",\n"
-     << "  \"dp_solves\": " << point_stats.dp_solves << ",\n"
+     << "  \"dp_solves\": " << server->stats().dp_solves << ",\n"
      << "  \"cached_identical\": " << util::json_bool(cached_identical)
      << ",\n"
      << "  \"batch_thread_invariant\": "
      << util::json_bool(batch_thread_invariant) << ",\n"
      << "  \"batch_complete\": " << util::json_bool(batch_complete) << ",\n"
-     << "  \"eviction_bounded\": " << util::json_bool(eviction_bounded)
-     << ",\n"
-     << "  \"cache_effective\": " << util::json_bool(cache_effective) << ",\n"
      << "  \"metrics_match_stats\": " << util::json_bool(metrics_match_stats)
      << "\n}\n";
   os.close();
 
   const bool ok = cached_identical && batch_thread_invariant &&
-                  batch_complete && eviction_bounded && cache_effective &&
-                  metrics_match_stats;
-  std::cout << "point warm: " << qps(warm_ms) / 1e6 << " Mq/s, batch8: "
-            << qps(batch_ms) / 1e6 << " Mq/s, hit rate "
-            << point_stats.hit_rate() << " -> " << out_path << "\n";
+                  batch_complete && metrics_match_stats;
+  std::cout << "point: " << qps(point_ms) / 1e6 << " Mq/s, batch8: "
+            << qps(batch_ms) / 1e6 << " Mq/s, setup " << setup_ms
+            << " ms -> " << out_path << "\n";
   return ok ? 0 : 1;
 }

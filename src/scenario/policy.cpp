@@ -99,41 +99,23 @@ void LadderPolicy::set_rungs(std::vector<RungInfo> rungs) {
   table_ = WakeTable(rungs_, switching_, pm_);
 }
 
-namespace {
-
-/// Which tier of the tiered-fallback ladder resolved a pick — the decision
-/// mix the governor metrics expose (governor.tier_* counters).
-enum Tier : int {
-  kTierBudget = 0,    ///< Met the backlog catch-up budget.
-  kTierDeclared = 1,  ///< Budget dropped; met the declared deadline.
-  kTierFastest = 2,   ///< Nothing met the deadline; fastest reachable rung.
-  kTierCoolest = 3,   ///< Thermal cap excluded everything; coolest rung.
-};
-
-struct Pick {
-  int rung = -1;
-  Tier tier = kTierBudget;
-};
-
-/// Shared selection loop of choose() and predict_next(). `wake` holds the
-/// wake-transition cost into each rung (nullptr: no transition).
-Pick pick_rung(const std::vector<RungInfo>& rungs, const FrameContext& ctx,
-               const TransitionCost* wake) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Catch-up budget: with a backlog and a closing window, aim to serve the
-  // queue plus this frame before the window ends. Each frame's share of the
-  // window must also fit its uplink burst, so the compute budget is the
-  // share net of the radio time — the radio-cost side of the energy /
-  // latency-debt trade. Only ever *tightens* the declared deadline, and is
-  // dropped first when nothing meets it.
-  double budget_us = kInf;
-  if (ctx.backlog > 0 && ctx.window_remaining_s >= 0.0) {
-    budget_us = ctx.window_remaining_s * 1e6 /
-                    (static_cast<double>(ctx.backlog) + 1.0) -
-                ctx.radio_us;
+double catch_up_budget_us(std::uint32_t backlog, double window_remaining_s,
+                          double radio_us) {
+  // With a backlog and a closing window, aim to serve the queue plus this
+  // frame before the window ends. Each frame's share of the window must
+  // also fit its uplink burst, so the compute budget is the share net of the
+  // radio time — the radio-cost side of the energy / latency-debt trade.
+  if (backlog > 0 && window_remaining_s >= 0.0) {
+    return window_remaining_s * 1e6 / (static_cast<double>(backlog) + 1.0) -
+           radio_us;
   }
-  const double cap = ctx.max_sysclk_mhz;
+  return std::numeric_limits<double>::infinity();
+}
 
+RungPick select_rung(const std::vector<RungInfo>& rungs, double deadline_us,
+                     double budget_us, double cap_mhz,
+                     const TransitionCost* wake) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   int best_budget = -1, best_deadline = -1, fastest = -1, coolest = -1;
   double be_budget = kInf, be_deadline = kInf, fastest_t = kInf;
   double coolest_mhz = kInf;
@@ -143,7 +125,8 @@ Pick pick_rung(const std::vector<RungInfo>& rungs, const FrameContext& ctx,
       coolest_mhz = r.peak_mhz();
       coolest = static_cast<int>(i);
     }
-    if (cap > 0.0 && r.peak_mhz() > cap + 1e-9) continue;  // thermally barred
+    // Thermally barred.
+    if (cap_mhz > 0.0 && r.peak_mhz() > cap_mhz + 1e-9) continue;
 
     const TransitionCost trans = wake != nullptr ? wake[i] : TransitionCost{};
     const double t = r.t_us + trans.us;
@@ -152,11 +135,11 @@ Pick pick_rung(const std::vector<RungInfo>& rungs, const FrameContext& ctx,
       fastest_t = t;
       fastest = static_cast<int>(i);
     }
-    if (t <= ctx.deadline_us + 1e-9 && e < be_deadline) {
+    if (t <= deadline_us + 1e-9 && e < be_deadline) {
       be_deadline = e;
       best_deadline = static_cast<int>(i);
     }
-    if (t <= std::min(ctx.deadline_us, budget_us) + 1e-9 && e < be_budget) {
+    if (t <= std::min(deadline_us, budget_us) + 1e-9 && e < be_budget) {
       be_budget = e;
       best_budget = static_cast<int>(i);
     }
@@ -169,6 +152,18 @@ Pick pick_rung(const std::vector<RungInfo>& rungs, const FrameContext& ctx,
   // The thermal cap excluded everything: run the coolest rung (the engine
   // counts the violation).
   return {coolest, kTierCoolest};
+}
+
+namespace {
+
+/// Shared pick of choose() and predict_next(). `wake` holds the
+/// wake-transition cost into each rung (nullptr: no transition).
+RungPick pick_rung(const std::vector<RungInfo>& rungs, const FrameContext& ctx,
+                   const TransitionCost* wake) {
+  return select_rung(
+      rungs, ctx.deadline_us,
+      catch_up_budget_us(ctx.backlog, ctx.window_remaining_s, ctx.radio_us),
+      ctx.max_sysclk_mhz, wake);
 }
 
 }  // namespace
@@ -210,7 +205,7 @@ const TransitionCost* LadderPolicy::wake_row(
 int LadderPolicy::choose(const FrameContext& ctx, int current_rung) const {
   if (rungs_.empty()) return -1;
   std::vector<TransitionCost> repriced;
-  const Pick pick =
+  const RungPick pick =
       pick_rung(rungs_, ctx, wake_row(ctx, current_rung, repriced));
   if (choose_calls_ != nullptr) {
     choose_calls_->add();
@@ -261,9 +256,8 @@ std::optional<ThermalAnchor> find_thermal_anchor(
   return anchor;
 }
 
-std::uint32_t LadderPolicy::degraded_skip(double battery_soc,
-                                          double miss_ewma,
-                                          const DegradedModeSpec& spec) const {
+std::uint32_t degraded_skip(double battery_soc, double miss_ewma,
+                            const DegradedModeSpec& spec) {
   if (!spec.enabled()) return 0;
   double severity = 0.0;
   if (spec.critical_soc > 0.0 && battery_soc < spec.critical_soc) {
@@ -281,6 +275,12 @@ std::uint32_t LadderPolicy::degraded_skip(double battery_soc,
       std::ceil(std::min(severity, 1.0) * static_cast<double>(spec.max_skip));
   const auto skip = static_cast<std::uint32_t>(scaled);
   return skip < spec.max_skip ? skip : spec.max_skip;
+}
+
+std::uint32_t LadderPolicy::degraded_skip(double battery_soc,
+                                          double miss_ewma,
+                                          const DegradedModeSpec& spec) const {
+  return scenario::degraded_skip(battery_soc, miss_ewma, spec);
 }
 
 int LadderPolicy::predict_next(const FrameContext& ctx, int chosen) const {

@@ -178,6 +178,38 @@ struct TransitionCost {
     const RungInfo& from, const RungInfo& to,
     const clock::SwitchCostParams& switching, const power::PowerModel& pm);
 
+/// Which tier of the tiered-fallback ladder resolved a pick — the decision
+/// mix the governor metrics expose (governor.tier_* counters).
+enum Tier : int {
+  kTierBudget = 0,    ///< Met the backlog catch-up budget.
+  kTierDeclared = 1,  ///< Budget dropped; met the declared deadline.
+  kTierFastest = 2,   ///< Nothing met the deadline; fastest reachable rung.
+  kTierCoolest = 3,   ///< Thermal cap excluded everything; coolest rung.
+};
+
+struct RungPick {
+  int rung = -1;  ///< -1 iff the ladder is empty.
+  Tier tier = kTierBudget;
+};
+
+/// Backlog catch-up budget of LadderPolicy (see there): each queued frame's
+/// share of the closing window net of its uplink burst, `window_remaining_s
+/// / (backlog + 1) - radio_us`; +infinity without a backlog or a window.
+[[nodiscard]] double catch_up_budget_us(std::uint32_t backlog,
+                                        double window_remaining_s,
+                                        double radio_us);
+
+/// The selection loop of the shared decision rule: with rungs above
+/// `cap_mhz` barred (0 = uncapped), the minimum-energy rung meeting
+/// min(deadline, budget), else the one meeting the deadline, else the
+/// fastest eligible rung, else the coolest rung. `wake` holds the
+/// wake-transition cost into each rung (nullptr: no transition). One pass
+/// over the ladder; LadderPolicy and the schedule server both call it.
+[[nodiscard]] RungPick select_rung(const std::vector<RungInfo>& rungs,
+                                   double deadline_us, double budget_us,
+                                   double cap_mhz,
+                                   const TransitionCost* wake);
+
 /// Every wake transition a ladder can pay, priced once. The wake states a
 /// mission can reach form a small finite set — the boot state, each rung's
 /// exit state, and the pre-lock repositions out of those exits — so they
@@ -254,6 +286,14 @@ class WakeTable {
   std::vector<Reposition> reposition_;  ///< from-rung-major.
 };
 
+/// DegradedMode ladder: shed severity is the worse of the SoC deficit below
+/// `critical_soc` and the miss-EWMA excess above `miss_pressure`, each
+/// normalized to [0, 1]; the skip factor is the severity-scaled share of
+/// `max_skip` (rounded up, so any pressure sheds at least one frame). Zero
+/// while both triggers are clear.
+[[nodiscard]] std::uint32_t degraded_skip(double battery_soc, double miss_ewma,
+                                          const DegradedModeSpec& spec);
+
 /// Shared ladder decision rule. Owns a rung ladder plus the switch/power
 /// parameterization that prices wake transitions, and implements:
 ///
@@ -290,11 +330,7 @@ class LadderPolicy : public SchedulePolicy {
                            int current_rung) const override;
   [[nodiscard]] int predict_next(const FrameContext& ctx,
                                  int chosen) const override;
-  /// DegradedMode ladder: shed severity is the worse of the SoC deficit
-  /// below `critical_soc` and the miss-EWMA excess above `miss_pressure`,
-  /// each normalized to [0, 1]; the skip factor is the severity-scaled
-  /// share of `max_skip` (rounded up, so any pressure sheds at least one
-  /// frame). Zero while both triggers are clear.
+  /// scenario::degraded_skip.
   [[nodiscard]] std::uint32_t degraded_skip(
       double battery_soc, double miss_ewma,
       const DegradedModeSpec& spec) const override;

@@ -10,34 +10,29 @@
 //      ceils to the hotter cell, SoC floors to the emptier band, the
 //      backlog/window link state tightens the deadline cell — a quantized
 //      answer is always safe for the true state).
-//   2. Probe the sharded, eviction-bounded answer cache (the
-//      dse::ProfileCache capacity/eviction + relaxed atomic-stats idioms).
-//   3. On miss, resolve fresh: thermal-filter the rung ladder at the cell
-//      temperature, pick the min-energy rung under the cell deadline
-//      (tiered fallbacks mirroring scenario::LadderPolicy), and — when the
-//      server holds the governor's per-layer mckp::Instance — read the
-//      exact MCKP answer at the cell deadline from a per-shard memoized
-//      mckp::solve_dp_sweep over the whole deadline ladder (one DP pass per
-//      shard, per-shard DpWorkspace, no cross-shard synchronization).
+//   2. Read the answer from tables the constructor built once: the shared
+//      decision rule (scenario::select_rung) per (temp cell, deadline
+//      cell), the cap per temp cell, the deadline per slack cell, the shed
+//      hint per SoC band and — when the server holds the governor's
+//      per-layer mckp::Instance — the exact MCKP answer per deadline cell
+//      from ONE mckp::solve_dp_sweep over the whole deadline ladder.
 //
 // Determinism contract (docs/serving.md): an answer is a pure function of
-// (config, ladder, instance, quantized state) — independent of query order,
-// cache occupancy, eviction history, and thread count. Cached answers are
-// therefore byte-identical to fresh resolves, and the batch API — which
+// (config, ladder, instance, quantized state) — independent of query order
+// and thread count. The tables are never written after construction, so
+// concurrent queries read them without locks, and the batch API — which
 // fans out over util::ThreadPool::parallel_for into preassigned reply
 // slots — emits a byte-identical reply stream for any thread count
-// (bench_serve gates both). Batch queries may run from a task already on
-// the pool: parallel_for completion is tracked per call, so fleet
-// simulation and serving can share one pool.
+// (bench_serve gates it). Batch queries may run from a task already on the
+// pool: parallel_for completion is tracked per call, so fleet simulation
+// and serving can share one pool.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mckp/mckp.hpp"
@@ -59,13 +54,16 @@ struct DeviceState {
   double soc = 1.0;          ///< Battery state of charge in [0, 1].
   std::uint32_t backlog = 0; ///< Frames queued behind the uplink.
   /// Time left in the node's connectivity window; < 0 = unbounded, NaN =
-  /// unknown (served at the tightest deadline cell).
+  /// unknown (served at the tightest deadline cell when backlogged).
   double window_remaining_s = -1.0;
+  /// Per-frame uplink transmit time, netted out of the catch-up budget
+  /// exactly like scenario::FrameContext::radio_us.
+  double radio_us = 0.0;
 };
 
 /// Quantization grid the server collapses raw states onto. Cell counts are
-/// clamped to [1, 4096] at server construction (the key packs each
-/// dimension into 16 bits).
+/// clamped to [1, 4096] at server construction (bounding the pick table at
+/// 4096 x 4096 entries).
 struct StateGrid {
   double slack_min = 0.0;
   double slack_max = 0.5;
@@ -95,31 +93,20 @@ struct StateGrid {
   [[nodiscard]] double soc_value(int band) const;
 };
 
-/// A device state quantized onto the grid — the answer-cache key domain.
+/// A device state quantized onto the grid — the table index domain.
 /// `effective_cell <= slack_cell`: the deadline cell after the link state
-/// (backlog catch-up budget window/(backlog+1), the LadderPolicy rule)
-/// tightened the declared cell, floored at cell 0.
+/// (backlog catch-up budget window/(backlog+1) - radio_us, the LadderPolicy
+/// rule, applied only with a backlog) tightened the declared cell, floored
+/// at cell 0.
 struct QuantizedState {
   int slack_cell = 0;
   int effective_cell = 0;
   int temp_cell = 0;
   int soc_band = 0;
-
-  [[nodiscard]] std::uint64_t key() const {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(slack_cell))
-            << 48) |
-           (static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(effective_cell))
-            << 32) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(temp_cell))
-            << 16) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(soc_band));
-  }
 };
 
 /// One served answer. Pure function of (server config, ladder, instance,
-/// quantized state); contains nothing host- or cache-dependent, so cached
-/// and fresh copies are byte-identical through answer_json().
+/// quantized state); contains nothing host-dependent.
 struct ScheduleAnswer {
   /// Some thermally eligible rung met the effective deadline (tier 1/2 of
   /// the fallback ladder). false = the served rung will miss (tier 3) or
@@ -141,8 +128,7 @@ struct ScheduleAnswer {
 };
 
 /// One-line JSON object of an answer. Locale-independent "%.9g" doubles —
-/// the byte format the cached-equals-fresh and thread-invariance gates
-/// compare.
+/// the byte format the identity and thread-invariance gates compare.
 [[nodiscard]] std::string answer_json(const ScheduleAnswer& a);
 
 /// The batch reply stream: a JSON array, one answer per line, in query
@@ -155,21 +141,11 @@ struct ServerConfig {
   /// Thermal derating curve turning the cell ambient into a clock cap.
   /// Default: derating disabled (mhz_per_c == 0 — no cap at any cell).
   scenario::ThermalDerate derate;
-  /// Degraded-mode ladder for the shed hint (LadderPolicy severity formula
-  /// at the band SoC with zero miss pressure). Default: disabled.
+  /// Degraded-mode ladder for the shed hint (scenario::degraded_skip at the
+  /// band SoC with zero miss pressure). Default: disabled.
   scenario::DegradedModeSpec degraded;
-  /// DP width of the memoized per-shard MCKP sweep.
+  /// DP width of the construction-time MCKP sweep.
   int mckp_ticks = 4096;
-  /// Answer-cache shards (clamped to [1, 256]). Each shard owns its own
-  /// mutex, answer map, DpWorkspace and memoized sweep — no cross-shard
-  /// synchronization; the bounded duplication (<= shards DP passes) buys
-  /// lock-local misses.
-  int shards = 8;
-  /// Total answer-cache bound, split evenly across shards (floored at one
-  /// entry per shard); 0 = unbounded. When a shard is full, inserting a new
-  /// key evicts an arbitrary resident entry (dse::ProfileCache idiom) —
-  /// correctness is unaffected (a miss just re-resolves), only hit rate.
-  std::size_t cache_capacity = 4096;
 };
 
 class ScheduleServer {
@@ -187,8 +163,10 @@ class ScheduleServer {
   ScheduleServer(const ScheduleServer&) = delete;
   ScheduleServer& operator=(const ScheduleServer&) = delete;
 
-  /// Relaxed-atomic counter snapshot (ProfileCache::Stats idiom) — safe to
-  /// take while queries run; observability only, never an answer input.
+  /// Counter snapshot — safe to take while queries run; observability
+  /// only, never an answer input. Every answer is a table read, so `hits ==
+  /// queries` and `misses == evictions == 0`; `dp_solves` is 1 when the
+  /// server holds an MCKP instance (the construction-time sweep), else 0.
   struct Stats {
     std::uint64_t queries = 0;
     std::uint64_t hits = 0;
@@ -202,32 +180,24 @@ class ScheduleServer {
     }
   };
 
-  /// Point query: quantize, probe the shard cache, resolve on miss.
-  /// Thread-safe.
-  [[nodiscard]] ScheduleAnswer answer(const DeviceState& state);
+  /// Point query: quantize plus table reads. Thread-safe and lock-free.
+  [[nodiscard]] ScheduleAnswer answer(const DeviceState& state) const;
 
-  /// Resolves without reading or writing the answer cache (the memoized
-  /// per-shard DP sweep is still used — it is state-independent). The
-  /// cached-equals-fresh identity gate compares answer() against this.
-  [[nodiscard]] ScheduleAnswer answer_fresh(const DeviceState& state);
+  /// answer() without counting the query; equal to it by construction.
+  [[nodiscard]] ScheduleAnswer answer_fresh(const DeviceState& state) const;
 
   /// Batch query: fans the queries out via pool.parallel_for into
   /// preassigned reply slots — reply stream byte-identical across thread
-  /// counts. Safe to call from a task already running on `pool` (the
-  /// nested-parallel_for contract). With a sink, publishes the batch's
-  /// serve.* metric deltas and a kHost "serve_batch" span.
+  /// counts — and counts the batch once. Safe to call from a task already
+  /// running on `pool` (the nested-parallel_for contract). With a sink,
+  /// publishes serve.queries and a kHost "serve_batch" span.
   [[nodiscard]] std::vector<ScheduleAnswer> answer_batch(
       const std::vector<DeviceState>& queries, util::ThreadPool& pool,
-      std::int64_t chunk = 64, obs::Sink* sink = nullptr);
+      std::int64_t chunk = 64, obs::Sink* sink = nullptr) const;
 
   [[nodiscard]] QuantizedState quantize(const DeviceState& state) const;
 
   [[nodiscard]] Stats stats() const;
-  /// Resident answers summed over shards (locks each shard briefly).
-  [[nodiscard]] std::size_t cache_size() const;
-  [[nodiscard]] std::size_t cache_capacity() const {
-    return cfg_.cache_capacity;
-  }
   [[nodiscard]] const std::vector<scenario::RungInfo>& rungs() const {
     return rungs_;
   }
@@ -235,34 +205,22 @@ class ScheduleServer {
   [[nodiscard]] double t_base_us() const { return t_base_us_; }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, ScheduleAnswer> cache;
-    mckp::DpWorkspace ws;
-    std::vector<mckp::Solution> sweep;  ///< Memoized, lazily built once.
-    bool sweep_ready = false;
-  };
-
-  [[nodiscard]] Shard& shard_of(std::uint64_t key);
-  /// Pure resolve at a quantized state; `shard.mu` must be held (uses the
-  /// shard's workspace/memo).
-  [[nodiscard]] ScheduleAnswer resolve(const QuantizedState& q, Shard& shard);
-  [[nodiscard]] double deadline_us(int cell) const;
-
   std::vector<scenario::RungInfo> rungs_;
   double t_base_us_ = 0.0;
   ServerConfig cfg_;
-  mckp::Instance instance_;
-  double mckp_reserve_us_ = 0.0;
-  std::vector<double> capacities_;  ///< MCKP capacity per slack cell.
-  std::size_t shard_capacity_ = 0;  ///< Per-shard cache bound; 0 unbounded.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  double slack_step_ = 0.0;  ///< Grid spacings, hoisted out of quantize().
+  double temp_step_ = 0.0;
+  std::vector<double> deadline_us_;  ///< Per slack cell.
+  std::vector<double> cap_mhz_;      ///< Per temp cell (0 = uncapped).
+  /// select_rung under each slack cell's deadline at each temp cell's cap,
+  /// temp-major. Tier kTierBudget = some rung met the deadline; otherwise
+  /// the pick is the temp cell's fastest eligible or coolest rung.
+  std::vector<scenario::RungPick> picks_;
+  std::vector<std::uint32_t> shed_;  ///< Per SoC band.
+  /// Exact MCKP per slack cell; empty without an instance.
+  std::vector<mckp::Solution> exact_;
 
   mutable std::atomic<std::uint64_t> queries_{0};
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> dp_solves_{0};
 };
 
 /// Convenience: a server over a built governor — copies the rung ladder,
