@@ -23,7 +23,7 @@
 // --trace records the v4 checkpointed-predictive mission as Chrome
 // trace-event JSON (open in Perfetto / chrome://tracing; schema in
 // docs/observability.md). Only sim-time-stamped events are recorded, so the
-// file is byte-identical across runs and kernel backends. --metrics dumps
+// file is byte-identical across runs and kernel modes. --metrics dumps
 // the run's counter registry (engine totals + governor decision mix) as
 // JSON to the given path, or to stdout when no path follows.
 #include <cstdlib>
@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
   // The observed mission: the richest walkthrough (faults + checkpoints +
   // harvest + radio) under the predictive governor. The sink is attached to
   // this one simulate_mission only, so a --trace file carries nothing but
-  // sim-time-stamped events and is byte-identical across runs and backends.
+  // sim-time-stamped events and is byte-identical across runs.
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
   obs::Sink sink;

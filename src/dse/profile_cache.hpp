@@ -8,12 +8,12 @@
 // the explorer profiles each (layer-signature, candidate-config) pair once
 // and reuses the result everywhere else.
 //
-// The key deliberately *excludes* quantization parameters, weight values
-// AND the executing kernels::Backend: kernels emit the same work events
-// regardless of operand values or of which backend (scalar or SIMD) runs
-// the Full-mode arithmetic (the Full/Timing/backend equivalence invariant,
-// DESIGN.md §5.1, enforced by tests/test_kernels_backend.cpp) — so profiles
-// recorded under any backend are valid for every other. The key *includes*
+// The key deliberately *excludes* quantization parameters and weight values:
+// kernels emit the same work events regardless of operand values and of
+// whether the Full-mode arithmetic runs at all (the Full/Timing equivalence
+// invariant, docs/kernels.md § "The two invariants", enforced by
+// KernelSweep.AccountingUnchangedAcrossModesOnBorderHeavyShapes) — so
+// profiles recorded in either mode are valid for both. The key *includes*
 // everything placement-relevant the canonical profiler derives from the
 // signature (shapes fix the canonical addresses) plus the candidate's full
 // clocking configuration and the simulator parameterization fingerprint.

@@ -2,10 +2,11 @@
 //
 // The paper's methodology never inspects weight *values* — only layer shapes
 // drive the memory/compute behaviour — so the zoo models use reproducible
-// random int8 weights (DESIGN.md §2). Quantization bookkeeping follows TFLM:
-// per-tensor affine activations, symmetric weights, int32 bias at
-// input_scale * weight_scale, requant multiplier < 1 chosen so accumulators
-// land in the int8 output range without systematic saturation.
+// random int8 weights (docs/architecture.md, `graph/`). Quantization
+// bookkeeping follows TFLM: per-tensor affine activations, symmetric
+// weights, int32 bias at input_scale * weight_scale, requant multiplier < 1
+// chosen so accumulators land in the int8 output range without systematic
+// saturation.
 #pragma once
 
 #include <cstdint>

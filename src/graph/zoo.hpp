@@ -4,7 +4,8 @@
 // families those deployments come from (MobileNetV2-style inverted residual
 // stacks for VWW/MBV2, a MobileNetV1-style depthwise-separable chain for PD)
 // at MCU-scale widths/resolutions; weights are deterministic random int8
-// (see DESIGN.md §2 — the methodology depends only on layer shapes).
+// (see docs/architecture.md, `graph/` — the methodology depends only on
+// layer shapes).
 #pragma once
 
 #include "graph/model.hpp"

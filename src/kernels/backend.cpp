@@ -3,9 +3,8 @@
 #include "tensor/quant.hpp"
 
 namespace daedvfs::kernels {
-namespace {
 
-int32_t scalar_dot(const int8_t* a, const int8_t* b, int64_t n, int32_t zp) {
+int32_t dot(const int8_t* a, const int8_t* b, int64_t n, int32_t zp) {
   int32_t acc = 0;
   for (int64_t i = 0; i < n; ++i) {
     acc += (static_cast<int32_t>(a[i]) - zp) * static_cast<int32_t>(b[i]);
@@ -13,8 +12,8 @@ int32_t scalar_dot(const int8_t* a, const int8_t* b, int64_t n, int32_t zp) {
   return acc;
 }
 
-void scalar_dot_many(int32_t* acc, const int8_t* x, const int8_t* w,
-                     int64_t w_stride, int m, int64_t n) {
+void dot_many(int32_t* acc, const int8_t* x, const int8_t* w,
+              int64_t w_stride, int m, int64_t n) {
   for (int i = 0; i < m; ++i) {
     const int8_t* wr = w + i * w_stride;
     int32_t s = 0;
@@ -25,8 +24,8 @@ void scalar_dot_many(int32_t* acc, const int8_t* x, const int8_t* w,
   }
 }
 
-int32_t scalar_dot_rows(const int8_t* a, int64_t a_row, const int8_t* b,
-                        int64_t b_row, int rows, int64_t n) {
+int32_t dot_rows(const int8_t* a, int64_t a_row, const int8_t* b,
+                 int64_t b_row, int rows, int64_t n) {
   int32_t acc = 0;
   for (int r = 0; r < rows; ++r) {
     const int8_t* ap = a + r * a_row;
@@ -38,8 +37,8 @@ int32_t scalar_dot_rows(const int8_t* a, int64_t a_row, const int8_t* b,
   return acc;
 }
 
-void scalar_conv_rows_s1(int32_t* acc, const int8_t* x, int64_t x_row,
-                         const int8_t* taps, int rows, int kw, int64_t n) {
+void conv_rows_s1(int32_t* acc, const int8_t* x, int64_t x_row,
+                  const int8_t* taps, int rows, int kw, int64_t n) {
   for (int r = 0; r < rows; ++r) {
     const int8_t* xr = x + r * x_row;
     const int8_t* tr = taps + r * kw;
@@ -53,9 +52,8 @@ void scalar_conv_rows_s1(int32_t* acc, const int8_t* x, int64_t x_row,
   }
 }
 
-void scalar_mac_window(int32_t* acc, const int8_t* x, int64_t x_row,
-                       const int8_t* w, int64_t w_row, int c, int rows,
-                       int m) {
+void mac_window(int32_t* acc, const int8_t* x, int64_t x_row,
+                const int8_t* w, int64_t w_row, int c, int rows, int m) {
   for (int r = 0; r < rows; ++r) {
     for (int s = 0; s < m; ++s) {
       const int8_t* xp = x + r * x_row + static_cast<int64_t>(s) * c;
@@ -68,8 +66,8 @@ void scalar_mac_window(int32_t* acc, const int8_t* x, int64_t x_row,
   }
 }
 
-void scalar_gather_planes(int8_t* dst, int64_t dst_stride, const int8_t* src,
-                          int64_t src_stride, int64_t n, int m) {
+void gather_planes(int8_t* dst, int64_t dst_stride, const int8_t* src,
+                   int64_t src_stride, int64_t n, int m) {
   for (int g = 0; g < m; ++g) {
     int8_t* d = dst + g * dst_stride;
     const int8_t* s = src + g;
@@ -77,10 +75,10 @@ void scalar_gather_planes(int8_t* dst, int64_t dst_stride, const int8_t* src,
   }
 }
 
-void scalar_requantize_row(int8_t* out, int64_t out_stride,
-                           const int32_t* acc, int64_t n, int32_t multiplier,
-                           int32_t shift, int32_t output_zero_point,
-                           int32_t act_min, int32_t act_max) {
+void requantize_row(int8_t* out, int64_t out_stride, const int32_t* acc,
+                    int64_t n, int32_t multiplier, int32_t shift,
+                    int32_t output_zero_point, int32_t act_min,
+                    int32_t act_max) {
   const tensor::QuantizedMultiplier qm{multiplier, shift};
   for (int64_t j = 0; j < n; ++j) {
     out[j * out_stride] = tensor::requantize_to_int8(
@@ -88,39 +86,9 @@ void scalar_requantize_row(int8_t* out, int64_t out_stride,
   }
 }
 
-constexpr Backend kScalar{"scalar",
-                          false,
-                          scalar_dot,
-                          scalar_dot_many,
-                          scalar_dot_rows,
-                          scalar_conv_rows_s1,
-                          scalar_mac_window,
-                          scalar_gather_planes,
-                          scalar_requantize_row};
-
-}  // namespace
-
-const Backend& scalar_backend() { return kScalar; }
-
-const Backend& default_backend() {
-  const Backend* simd = simd_backend();
-  return simd != nullptr ? *simd : kScalar;
-}
-
-const Backend* backend_by_name(std::string_view name) {
-  if (name == "scalar") return &kScalar;
-  if (name == "auto") return &default_backend();
-  const Backend* simd = simd_backend();
-  if (simd != nullptr && (name == "simd" || name == simd->name)) return simd;
-  return nullptr;
-}
-
-std::vector<const Backend*> available_backends() {
-  std::vector<const Backend*> out{&kScalar};
-  if (const Backend* simd = simd_backend(); simd != nullptr) {
-    out.push_back(simd);
-  }
-  return out;
+const BackendInfo& default_backend() {
+  static constexpr BackendInfo kScalar{"scalar"};
+  return kScalar;
 }
 
 }  // namespace daedvfs::kernels

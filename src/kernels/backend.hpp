@@ -1,114 +1,79 @@
-// Backend-dispatch layer for the int8 MAC microkernels.
+// The int8 MAC microkernels behind the Full-mode arithmetic.
 //
 // Every Full-mode arithmetic path in the kernel library (conv2d, depthwise,
-// pointwise, fully_connected) reduces to a handful of int8 multiply-
-// accumulate primitives. A `Backend` bundles one implementation of those
-// primitives; the library ships a portable scalar backend (always available)
-// and a vectorized backend (SSE2 on x86-64, NEON on AArch64, selected at
-// compile time, absent when neither ISA is available or when built with
-// -DDAEDVFS_DISABLE_SIMD=ON).
+// pointwise, fully_connected) reduces to the handful of int8 multiply-
+// accumulate primitives below. They are portable scalar C++, called
+// directly by the drivers.
 //
-// Two invariants define the layer (DESIGN.md §5.1, docs/kernels.md):
+// Two invariants define the layer (docs/kernels.md § "The two invariants"):
 //
-//  * Bit-exactness: every backend produces byte-identical outputs. All
-//    primitives accumulate exact int32 sums of int8 products — associative
-//    and overflow-free for every shape the drivers issue — so lane-reordered
-//    SIMD accumulation equals the scalar left-to-right sum, and both equal
-//    the naive reference oracles. Enforced across the kernel shape matrix
-//    and the zoo models by tests/test_kernels_backend.cpp.
+//  * Bit-exactness: outputs are byte-identical to the naive reference
+//    oracles. Every primitive accumulates exact int32 sums of int8 products
+//    (overflow-free for every shape the drivers issue), and requantization
+//    funnels through tensor::requantize_to_int8.
 //
-//  * Backend-independent cost stream: backends perform host arithmetic only.
-//    Work-event emission (ctx.compute/read/write, DVFS segment hooks) stays
-//    in the backend-independent driver loops, so Timing-mode costs,
-//    WorkLedger recordings and replay results are byte-identical no matter
-//    which backend executes the math. The DSE profile cache key deliberately
-//    excludes the backend for this reason (dse/profile_cache.hpp).
+//  * Math-independent cost stream: the primitives perform host arithmetic
+//    only. Work-event emission (ctx.compute/read/write, DVFS segment hooks)
+//    stays in the driver loops, so Full- and Timing-mode costs, WorkLedger
+//    recordings and replay results are byte-identical.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
-#include <vector>
 
 namespace daedvfs::kernels {
 
-/// One implementation of the int8 MAC microkernel set. Plain function
-/// pointers (not virtuals): backends are stateless singletons and the table
-/// keeps dispatch overhead to one indirect call per driver-row primitive.
-struct Backend {
-  const char* name;  ///< "scalar", "sse2", "neon".
-  bool vectorized;   ///< True for SIMD backends.
+/// sum_i (a[i] - zp) * b[i] over n contiguous elements. The zero-point-
+/// folded callers pass zp == 0.
+[[nodiscard]] int32_t dot(const int8_t* a, const int8_t* b, int64_t n,
+                          int32_t zp);
 
-  /// sum_i (a[i] - zp) * b[i] over n contiguous elements. The zero-point-
-  /// folded callers pass zp == 0.
-  int32_t (*dot)(const int8_t* a, const int8_t* b, int64_t n, int32_t zp);
+/// acc[i] += sum_j x[j] * w[i*w_stride + j] for i < m: one activation
+/// block against m contiguous weight rows (conv2d packed windows,
+/// pointwise columns).
+void dot_many(int32_t* acc, const int8_t* x, const int8_t* w,
+              int64_t w_stride, int m, int64_t n);
 
-  /// acc[i] += sum_j x[j] * w[i*w_stride + j] for i < m: one activation
-  /// block against m contiguous weight rows (conv2d packed windows,
-  /// pointwise columns). One dispatch covers all m rows, and activation
-  /// loads are shared across weight rows.
-  void (*dot_many)(int32_t* acc, const int8_t* x, const int8_t* w,
-                   int64_t w_stride, int m, int64_t n);
+/// sum_{r < rows} sum_{i < n} a[r * a_row + i] * b[r * b_row + i]:
+/// a multi-row dot product (strided depthwise plane windows).
+[[nodiscard]] int32_t dot_rows(const int8_t* a, int64_t a_row,
+                               const int8_t* b, int64_t b_row, int rows,
+                               int64_t n);
 
-  /// sum_{r < rows} sum_{i < n} a[r * a_row + i] * b[r * b_row + i]:
-  /// a multi-row dot product (strided depthwise plane windows) amortizing
-  /// dispatch over rows * n MACs.
-  int32_t (*dot_rows)(const int8_t* a, int64_t a_row, const int8_t* b,
-                      int64_t b_row, int rows, int64_t n);
+/// acc[j] += sum_{r < rows} sum_{k < kw} taps[r*kw + k] * x[r*x_row + j + k]
+/// for j < n: the stride-1 depthwise plane row as one sliding-window pass.
+/// Reads x[r*x_row + i] only for i < n - 1 + kw — the exact window extent.
+void conv_rows_s1(int32_t* acc, const int8_t* x, int64_t x_row,
+                  const int8_t* taps, int rows, int kw, int64_t n);
 
-  /// acc[j] += sum_{r < rows} sum_{k < kw} taps[r*kw + k] * x[r*x_row + j + k]
-  /// for j < n: the stride-1 depthwise plane row as one fused sliding-window
-  /// pass (each accumulator loaded/stored once for all rows*kw taps). Reads
-  /// x[r*x_row + i] only for i < n - 1 + kw — the exact window extent.
-  void (*conv_rows_s1)(int32_t* acc, const int8_t* x, int64_t x_row,
-                       const int8_t* taps, int rows, int kw, int64_t n);
+/// acc[j] += sum_{r < rows} sum_{s < m} x[r*x_row + s*c + j] *
+///           w[r*w_row + s*c + j]  for j < c:
+/// the NHWC depthwise window fold across all channel lanes.
+void mac_window(int32_t* acc, const int8_t* x, int64_t x_row,
+                const int8_t* w, int64_t w_row, int c, int rows, int m);
 
-  /// acc[j] += sum_{r < rows} sum_{s < m} x[r*x_row + s*c + j] *
-  ///           w[r*w_row + s*c + j]  for j < c:
-  /// the NHWC depthwise window fold — channel accumulator lanes stay
-  /// register-resident across the whole rows x m tap window.
-  void (*mac_window)(int32_t* acc, const int8_t* x, int64_t x_row,
-                     const int8_t* w, int64_t w_row, int c, int rows, int m);
+/// dst[g * dst_stride + x] = src[x * src_stride + g] for x < n, g < m:
+/// the DAE channel-group gather (one NHWC input row transposed into m
+/// per-channel plane rows). Data movement only; it emits no work events.
+void gather_planes(int8_t* dst, int64_t dst_stride, const int8_t* src,
+                   int64_t src_stride, int64_t n, int m);
 
-  /// dst[g * dst_stride + x] = src[x * src_stride + g] for x < n, g < m:
-  /// the DAE channel-group gather (one NHWC input row transposed into m
-  /// per-channel plane rows). Data movement only — part of the backend
-  /// because the transpose vectorizes (8x8 byte blocks) and feeds the
-  /// Full-mode math; it emits no work events. Reads src[x*src_stride + g]
-  /// only for g < m: callers guarantee m adjacent bytes per pixel.
-  void (*gather_planes)(int8_t* dst, int64_t dst_stride, const int8_t* src,
-                        int64_t src_stride, int64_t n, int m);
+/// out[j * out_stride] = requantize(acc[j]) for j < n: the fixed-point
+/// requantization pipeline (tensor::requantize_to_int8 semantics —
+/// gemmlowp rounding, output zero point, activation clamp) applied to a
+/// row of accumulators. `multiplier`/`shift` are a QuantizedMultiplier's
+/// fields.
+void requantize_row(int8_t* out, int64_t out_stride, const int32_t* acc,
+                    int64_t n, int32_t multiplier, int32_t shift,
+                    int32_t output_zero_point, int32_t act_min,
+                    int32_t act_max);
 
-  /// out[j * out_stride] = requantize(acc[j]) for j < n: the fixed-point
-  /// requantization pipeline (tensor::requantize_to_int8 semantics —
-  /// gemmlowp rounding, output zero point, activation clamp) applied to a
-  /// row of accumulators. `multiplier`/`shift` are a QuantizedMultiplier's
-  /// fields; the multiplier must be positive (any tensor::
-  /// quantize_multiplier result is), and [act_min, act_max] must lie within
-  /// int8 range. Bit-exact across backends including on rounding ties.
-  void (*requantize_row)(int8_t* out, int64_t out_stride, const int32_t* acc,
-                         int64_t n, int32_t multiplier, int32_t shift,
-                         int32_t output_zero_point, int32_t act_min,
-                         int32_t act_max);
+/// Name-only record of the microkernel implementation; nothing dispatches
+/// on it. Kept because the whole-pipeline benchmark's provenance prints
+/// default_backend().name.
+struct BackendInfo {
+  const char* name;  ///< Always "scalar".
 };
 
-/// The portable scalar backend; always available, byte-identical to the
-/// reference oracles by construction.
-[[nodiscard]] const Backend& scalar_backend();
-
-/// The vectorized backend, or nullptr when none was compiled in.
-[[nodiscard]] const Backend* simd_backend();
-
-/// The backend kernels use when the ExecContext does not pin one: the
-/// vectorized backend when available, the scalar backend otherwise.
-[[nodiscard]] const Backend& default_backend();
-
-/// Lookup by name: "scalar", the ISA name of the SIMD backend ("sse2" /
-/// "neon"), the alias "simd", or "auto" (= default). Returns nullptr for
-/// unknown or unavailable names.
-[[nodiscard]] const Backend* backend_by_name(std::string_view name);
-
-/// All compiled-in backends, scalar first. The cross-backend sweep iterates
-/// this so new backends are covered automatically.
-[[nodiscard]] std::vector<const Backend*> available_backends();
+[[nodiscard]] const BackendInfo& default_backend();
 
 }  // namespace daedvfs::kernels

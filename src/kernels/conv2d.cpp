@@ -57,16 +57,14 @@ std::vector<int32_t> filter_weight_sums(const Conv2dArgs& a, const Geom& g) {
 /// so every pixel is interior). Each pixel packs its filter window into one
 /// contiguous block; each output channel's weights are already one
 /// contiguous kh*kw*cin block, so the whole pixel reduces to a single
-/// backend dot_many call — packing cost amortizes over cout. All MACs route
-/// through the backend microkernels; which backend runs changes nothing but
-/// the host arithmetic (bit-exact by the backend contract).
+/// dot_many call — packing cost amortizes over cout.
 void math_output_row(const Conv2dArgs& a, const Geom& g, int oy,
-                     const int32_t* wsum, const Backend& be, int32_t* acc_px,
-                     int8_t* patch, const int8_t* wpacked, int64_t kpad,
+                     const int32_t* wsum, int32_t* acc_px, int8_t* patch,
                      const int8_t* padded, int64_t prow) {
   int8_t* out_row =
       a.output.view.data + static_cast<int64_t>(oy) * g.ow * g.cout;
   const int64_t w_row_elems = static_cast<int64_t>(g.kw) * g.cin;
+  const int64_t kelems = g.kh * w_row_elems;
   const int32_t zp = a.params.input_zero_point;
   const int8_t* win_row =
       padded + static_cast<int64_t>(oy) * g.stride * prow;
@@ -75,18 +73,16 @@ void math_output_row(const Conv2dArgs& a, const Geom& g, int oy,
     const int8_t* win =
         win_row + static_cast<int64_t>(ox) * g.stride * g.cin;
     for (int ky = 0; ky < g.kh; ++ky) {
-      const int8_t* src = win + static_cast<int64_t>(ky) * prow;
-      int8_t* dst = patch + static_cast<int64_t>(ky) * w_row_elems;
-      int64_t b = 0;
-      for (; b + 8 <= w_row_elems; b += 8) std::memcpy(dst + b, src + b, 8);
-      for (; b < w_row_elems; ++b) dst[b] = src[b];
+      std::memcpy(patch + static_cast<int64_t>(ky) * w_row_elems,
+                  win + static_cast<int64_t>(ky) * prow,
+                  static_cast<std::size_t>(w_row_elems));
     }
     for (int oc = 0; oc < g.cout; ++oc) {
       acc_px[oc] = (a.bias != nullptr ? a.bias[oc] : 0) - zp * wsum[oc];
     }
-    be.dot_many(acc_px, patch, wpacked, kpad, g.cout, kpad);
-    requantize_row(be, out_row + static_cast<int64_t>(ox) * g.cout, 1,
-                   acc_px, g.cout, a.params);
+    dot_many(acc_px, patch, a.weights.view.data, kelems, g.cout, kelems);
+    requantize_row(out_row + static_cast<int64_t>(ox) * g.cout, 1, acc_px,
+                   g.cout, a.params);
   }
 }
 
@@ -99,27 +95,14 @@ void conv2d(const Conv2dArgs& a, ExecContext& ctx) {
 
   const std::vector<int32_t> wsum =
       ctx.do_math() ? filter_weight_sums(a, g) : std::vector<int32_t>{};
-  // Host-side staging for the backend math: per-pixel accumulator block,
-  // packed filter window + weights (window length rounded up to a multiple
-  // of 8 and zero-filled, im2col-style, so the dot products run without a
-  // ragged tail — the zero lanes contribute nothing), and (with padding) a
+  // Host-side staging for the int8 math: per-pixel accumulator block,
+  // packed filter window (im2col-style) and (with padding) a
   // zero-point-padded input copy. None of it touches the simulated memory
   // map.
-  const int64_t kelems = static_cast<int64_t>(g.kh) * g.kw * g.cin;
-  const int64_t kpad = (kelems + 7) & ~int64_t{7};
   std::vector<int32_t> acc_px(
       ctx.do_math() ? static_cast<std::size_t>(g.cout) : 0);
   std::vector<int8_t> patch(
-      ctx.do_math() ? static_cast<std::size_t>(kpad) : 0);
-  std::vector<int8_t> wpacked(
-      ctx.do_math() ? static_cast<std::size_t>(g.cout) * kpad : 0);
-  if (ctx.do_math()) {
-    for (int oc = 0; oc < g.cout; ++oc) {
-      std::memcpy(wpacked.data() + static_cast<int64_t>(oc) * kpad,
-                  a.weights.view.data + static_cast<int64_t>(oc) * kelems,
-                  static_cast<std::size_t>(kelems));
-    }
-  }
+      ctx.do_math() ? static_cast<std::size_t>(g.kh) * g.kw * g.cin : 0);
   const int64_t prow = static_cast<int64_t>(g.w + 2 * g.pad) * g.cin;
   std::vector<int8_t> padded;
   const int8_t* math_base = a.input.view.data;
@@ -168,8 +151,8 @@ void conv2d(const Conv2dArgs& a, ExecContext& ctx) {
               static_cast<double>(out_row_bytes) / 4.0);
 
     if (ctx.do_math()) {
-      math_output_row(a, g, oy, wsum.data(), ctx.be(), acc_px.data(),
-                      patch.data(), wpacked.data(), kpad, math_base, prow);
+      math_output_row(a, g, oy, wsum.data(), acc_px.data(), patch.data(),
+                      math_base, prow);
     }
   }
 }

@@ -35,19 +35,18 @@ struct ConvParams {
 
 /// Applies requantization + clamp to one accumulator. Thin adapter over
 /// tensor::requantize_to_int8 — the one definition of the quantized output
-/// semantics shared by the scalar/SIMD backends and the reference oracles.
+/// semantics shared by the microkernels and the reference oracles.
 [[nodiscard]] inline int8_t requantize(int32_t acc, const ConvParams& p) {
   return tensor::requantize_to_int8(acc, p.requant, p.output_zero_point,
                                     p.act_min, p.act_max);
 }
 
-/// Backend-dispatched requantization of a row of accumulators under `p`.
-inline void requantize_row(const Backend& be, int8_t* out, int64_t out_stride,
+/// Requantizes a row of accumulators under `p`.
+inline void requantize_row(int8_t* out, int64_t out_stride,
                            const int32_t* acc, int64_t n,
                            const ConvParams& p) {
-  be.requantize_row(out, out_stride, acc, n, p.requant.multiplier,
-                    p.requant.shift, p.output_zero_point, p.act_min,
-                    p.act_max);
+  requantize_row(out, out_stride, acc, n, p.requant.multiplier,
+                 p.requant.shift, p.output_zero_point, p.act_min, p.act_max);
 }
 
 }  // namespace daedvfs::kernels

@@ -57,8 +57,7 @@ int32_t extract_filter(const DepthwiseArgs& a, const Geom& g, int ch,
 /// clipping anywhere. `acc_row` is caller scratch holding >= g.ow int32s.
 void dae_plane_row_math(const DepthwiseArgs& a, const Geom& g, int ch, int oy,
                         const int8_t* plane, int64_t pw, const int8_t* taps,
-                        int32_t tap_sum, const Backend& be,
-                        int32_t* acc_row) {
+                        int32_t tap_sum, int32_t* acc_row) {
   const int32_t acc0 = (a.bias != nullptr ? a.bias[ch] : 0) -
                        a.params.input_zero_point * tap_sum;
   int8_t* out_row =
@@ -67,13 +66,13 @@ void dae_plane_row_math(const DepthwiseArgs& a, const Geom& g, int ch, int oy,
       plane + static_cast<int64_t>(oy) * g.stride * pw;
   if (g.stride == 1) {
     for (int j = 0; j < g.ow; ++j) acc_row[j] = acc0;
-    be.conv_rows_s1(acc_row, win, pw, taps, g.kh, g.kw, g.ow);
-    requantize_row(be, out_row, g.c, acc_row, g.ow, a.params);
+    conv_rows_s1(acc_row, win, pw, taps, g.kh, g.kw, g.ow);
+    requantize_row(out_row, g.c, acc_row, g.ow, a.params);
   } else {
     for (int ox = 0; ox < g.ow; ++ox) {
       const int32_t acc =
-          acc0 + be.dot_rows(win + static_cast<int64_t>(ox) * g.stride, pw,
-                             taps, g.kw, g.kh, g.kw);
+          acc0 + dot_rows(win + static_cast<int64_t>(ox) * g.stride, pw,
+                          taps, g.kw, g.kh, g.kw);
       out_row[static_cast<int64_t>(ox) * g.c] = requantize(acc, a.params);
     }
   }
@@ -102,7 +101,7 @@ void account_row_baseline(const DepthwiseArgs& a, const Geom& g,
 }
 
 /// Accounts one output row of the *DAE compute segment* for one buffered
-/// plane: contiguous word reads from the scratch plane, SIMD-fed MACs,
+/// plane: contiguous word reads from the scratch plane, packed (SMLAD) MACs,
 /// strided output stores (output stays NHWC).
 void account_row_dae(const DepthwiseArgs& a, const Geom& g, ExecContext& ctx,
                      int ch, int oy, const sim::MemRef& plane_ref) {
@@ -133,12 +132,11 @@ void account_weights(const DepthwiseArgs& a, const Geom& g, ExecContext& ctx) {
 /// Channel-vectorized int8 math of the baseline NHWC path. Works on a
 /// zero-point-padded host copy of the input (padding contributes exactly
 /// zero to the folded sums), so every pixel is interior: one mac_window
-/// backend call folds the whole kh x kw tap window across all channel lanes
+/// call folds the whole kh x kw tap window across all channel lanes
 /// and each output pixel requantizes as one contiguous row. `acc` holds
 /// >= g.c int32s. Event accounting stays in run_baseline's per-channel
 /// loops — where the math runs has no cost-stream effect.
-void baseline_math(const DepthwiseArgs& a, const Geom& g, const Backend& be,
-                   int32_t* acc) {
+void baseline_math(const DepthwiseArgs& a, const Geom& g, int32_t* acc) {
   const int8_t* wts = a.weights.view.data;
   const int32_t zp = a.params.input_zero_point;
   const int pw = g.w + 2 * g.pad;
@@ -173,10 +171,9 @@ void baseline_math(const DepthwiseArgs& a, const Geom& g, const Backend& be,
         a.output.view.data + static_cast<int64_t>(oy) * g.ow * g.c;
     for (int ox = 0; ox < g.ow; ++ox, out_px += g.c) {
       std::copy_n(acc0.data(), g.c, acc);
-      be.mac_window(acc,
-                    in_row + static_cast<int64_t>(ox) * g.stride * g.c, prow,
-                    wts, w_row, g.c, g.kh, g.kw);
-      requantize_row(be, out_px, 1, acc, g.c, a.params);
+      mac_window(acc, in_row + static_cast<int64_t>(ox) * g.stride * g.c,
+                 prow, wts, w_row, g.c, g.kh, g.kw);
+      requantize_row(out_px, 1, acc, g.c, a.params);
     }
   }
 }
@@ -190,7 +187,7 @@ void run_baseline(const DepthwiseArgs& a, const Geom& g, ExecContext& ctx,
     }
   }
   if (ctx.do_math()) {
-    baseline_math(a, g, ctx.be(), acc_scratch);
+    baseline_math(a, g, acc_scratch);
   }
 }
 
@@ -248,7 +245,7 @@ void run_dae(const DepthwiseArgs& a, const Geom& g, ExecContext& ctx,
                   static_cast<double>(g.w) / 4.0);
       }
       if (ctx.do_math()) {
-        ctx.be().gather_planes(
+        gather_planes(
             buf.data() + (static_cast<int64_t>(y) + g.pad) * pw + g.pad,
             host_plane, a.input.view.data + y * in_row_bytes + c0, g.c, g.w,
             gcur);
@@ -270,7 +267,7 @@ void run_dae(const DepthwiseArgs& a, const Geom& g, ExecContext& ctx,
         account_row_dae(a, g, ctx, ch, oy, plane_ref);
         if (ctx.do_math()) {
           dae_plane_row_math(a, g, ch, oy, buf.data() + gi * host_plane, pw,
-                             taps.data(), tap_sum, ctx.be(), acc_row);
+                             taps.data(), tap_sum, acc_row);
         }
       }
     }
@@ -294,8 +291,8 @@ std::size_t depthwise_scratch_bytes(const DepthwiseArgs& args,
 void depthwise_conv(const DepthwiseArgs& args, ExecContext& ctx) {
   const Geom g = make_geom(args);
   ctx.compute(ctx.cost().call_overhead_cycles);
-  // Host-side int32 accumulator scratch for the backend's vectorized paths
-  // (one output row in the DAE form, one channel row in the baseline form);
+  // Host-side int32 accumulator scratch for the row microkernels (one
+  // output row in the DAE form, one channel row in the baseline form);
   // never touches the simulated memory map.
   std::vector<int32_t> acc_row(
       ctx.do_math() ? static_cast<std::size_t>(std::max(g.ow, g.c)) : 0);

@@ -2,17 +2,17 @@
 // and to a DVFS policy, and selects between Full (real int8 math + timing)
 // and Timing (timing only) execution.
 //
-// Design rule (DESIGN.md §5.1): a kernel reports *exactly the same* work
-// events in both modes — the modes differ only in whether the arithmetic is
-// performed — so the DSE can explore with cheap Timing runs while tests
-// verify numerics with Full runs on the identical cost stream.
+// Design rule (docs/kernels.md § "The two invariants"): a kernel reports
+// *exactly the same* work events in both modes — the modes differ only in
+// whether the arithmetic is performed — so the DSE can explore with cheap
+// Timing runs while tests verify numerics with Full runs on the identical
+// cost stream.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "clock/clock_config.hpp"
-#include "kernels/backend.hpp"
 #include "sim/mcu.hpp"
 #include "tensor/tensor.hpp"
 
@@ -73,18 +73,11 @@ class ExecContext {
   sim::Mcu* mcu = nullptr;
   ExecMode mode = ExecMode::kFull;
   DvfsPolicy* dvfs = nullptr;
-  /// MAC backend executing the Full-mode arithmetic; nullptr selects
-  /// default_backend(). Only the host-side math depends on this — the work
-  /// events a kernel reports are backend-independent (DESIGN.md §5.1).
-  const Backend* backend = nullptr;
   /// Simulated placement of the DAE gather buffer (top SRAM scratch area).
   sim::MemRef scratch_mem{sim::kSramBase + 0x0006'0000ull,
                           sim::MemRegion::kSram};
 
   [[nodiscard]] bool do_math() const { return mode == ExecMode::kFull; }
-  [[nodiscard]] const Backend& be() const {
-    return backend != nullptr ? *backend : default_backend();
-  }
 
   // Event forwarding (no-ops without a simulator).
   void memory_segment() {

@@ -30,16 +30,15 @@ void fully_connected(const FullyConnectedArgs& a, ExecContext& ctx) {
             static_cast<double>(out) / 4.0);
 
   if (ctx.do_math()) {
-    const Backend& be = ctx.be();
     const int8_t* x = a.input.view.data;
     std::vector<int32_t> acc(static_cast<std::size_t>(out));
     for (int64_t o = 0; o < out; ++o) {
       const int8_t* wrow = a.weights.view.data + o * in;
       acc[static_cast<std::size_t>(o)] =
           (a.bias != nullptr ? a.bias[o] : 0) +
-          be.dot(x, wrow, in, a.params.input_zero_point);
+          dot(x, wrow, in, a.params.input_zero_point);
     }
-    requantize_row(be, a.output.view.data, 1, acc.data(), out, a.params);
+    requantize_row(a.output.view.data, 1, acc.data(), out, a.params);
   }
 }
 

@@ -78,18 +78,18 @@ std::vector<int32_t> row_weight_sums(const PointwiseArgs& a, const Geom& g) {
 }
 
 /// Computes output channels for the contiguous input column at flat position
-/// `idx`: one backend dot_many over the whole Cout x Cin weight matrix, with
+/// `idx`: one dot_many over the whole Cout x Cin weight matrix, with
 /// the input zero point folded into the initial accumulators.
 void mix_column_math(const PointwiseArgs& a, const Geom& g, int64_t idx,
                      const int8_t* col, const int32_t* wsum,
-                     const Backend& be, int32_t* acc_px) {
+                     int32_t* acc_px) {
   const int32_t zp = a.params.input_zero_point;
   int8_t* out = a.output.view.data + idx * g.cout;
   for (int oc = 0; oc < g.cout; ++oc) {
     acc_px[oc] = (a.bias != nullptr ? a.bias[oc] : 0) - zp * wsum[oc];
   }
-  be.dot_many(acc_px, col, a.weights.view.data, g.cin, g.cout, g.cin);
-  requantize_row(be, out, 1, acc_px, g.cout, a.params);
+  dot_many(acc_px, col, a.weights.view.data, g.cin, g.cout, g.cin);
+  requantize_row(out, 1, acc_px, g.cout, a.params);
 }
 
 /// Charges the MAC + requant work for `n_cols` columns.
@@ -124,7 +124,7 @@ void run_baseline(const PointwiseArgs& a, const Geom& g, ExecContext& ctx,
       for (int x = 0; x < g.w; ++x) {
         const int8_t* col = in_row + static_cast<int64_t>(x) * g.cin;
         mix_column_math(a, g, static_cast<int64_t>(y) * g.w + x, col,
-                        wsum.data(), ctx.be(), acc_px);
+                        wsum.data(), acc_px);
       }
     }
   }
@@ -169,7 +169,7 @@ void run_dae(const PointwiseArgs& a, const Geom& g, ExecContext& ctx,
     if (ctx.do_math()) {
       for (int64_t i = 0; i < gcur; ++i) {
         const int8_t* col = buf.data() + i * g.cin;
-        mix_column_math(a, g, col0 + i, col, wsum.data(), ctx.be(), acc_px);
+        mix_column_math(a, g, col0 + i, col, wsum.data(), acc_px);
       }
     }
   }
@@ -193,8 +193,8 @@ void pointwise_conv(const PointwiseArgs& args, ExecContext& ctx) {
   ctx.compute(ctx.cost().call_overhead_cycles);
   const std::vector<int32_t> wsum =
       ctx.do_math() ? row_weight_sums(args, g) : std::vector<int32_t>{};
-  // Host-side per-column accumulator block for the backend's row
-  // requantization; never touches the simulated memory map.
+  // Host-side per-column accumulator block for the row requantization;
+  // never touches the simulated memory map.
   std::vector<int32_t> acc_px(
       ctx.do_math() ? static_cast<std::size_t>(g.cout) : 0);
   if (args.granularity <= 0) {

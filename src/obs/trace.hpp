@@ -5,8 +5,8 @@
 // Two timestamp domains share one recorder but never one track:
 //   * mission events are stamped with *sim time* (microseconds of mission
 //     time) — pure functions of the (spec, policy) pair, so an enabled
-//     trace is byte-identical across runs, thread counts and kernel
-//     backends (asserted by the fuzz harness);
+//     trace is byte-identical across runs, thread counts and Full/Timing
+//     kernel modes (asserted by the fuzz harness);
 //   * host-side phases (profiling sweeps, MCKP, repair) are stamped with
 //     wall-clock time on the dedicated kHost track — useful for profiling
 //     the toolchain itself, and excluded from any byte comparison.

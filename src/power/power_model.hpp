@@ -1,5 +1,5 @@
 // Analytic board power model, standing in for the paper's INA219 measurement
-// rig (see DESIGN.md §2). Total power decomposes as
+// rig (see docs/architecture.md, `power/`). Total power decomposes as
 //
 //   P = P_static(V) + alpha * V^2 * f_sysclk * activity      (core + bus dynamic)
 //     + k_vco * f_vco                   [PLL running]        (PLL analog power)

@@ -185,7 +185,6 @@ LayerProfile InferenceEngine::run_layer(sim::Mcu& mcu, int layer_idx,
                                         const LayerPlan& plan,
                                         kernels::ExecMode mode) const {
   kernels::ExecContext ctx;
-  ctx.backend = backend_;
   return run_layer_in(mcu, layer_idx, plan, mode, ctx);
 }
 
@@ -239,7 +238,6 @@ InferenceResult InferenceEngine::run(sim::Mcu& mcu, const Schedule& schedule,
   const sim::McuSnapshot start = mcu.snapshot();
   res.layers.reserve(static_cast<std::size_t>(model_.num_layers()));
   kernels::ExecContext ctx;  // one gather-buffer allocation for the run
-  ctx.backend = backend_;
   for (int i = 0; i < model_.num_layers(); ++i) {
     res.layers.push_back(run_layer_in(mcu, i, schedule.plan(i), mode, ctx));
   }

@@ -97,14 +97,6 @@ class InferenceEngine {
   /// 128 KB resource. Timing-only effect; numerics are unchanged.
   void place_scratch(sim::MemRegion region);
 
-  /// Pins the MAC backend for every ExecContext the engine creates
-  /// (nullptr = kernels::default_backend()). Math-only effect: the simulated
-  /// cost stream is backend-independent (DESIGN.md §5.1), and every backend
-  /// is bit-exact, so results are byte-identical across choices — the
-  /// cross-backend sweep holds the engine to that.
-  void set_backend(const kernels::Backend* backend) { backend_ = backend; }
-  [[nodiscard]] const kernels::Backend* backend() const { return backend_; }
-
   /// Simulated SRAM bytes used by activations.
   [[nodiscard]] std::size_t activation_bytes() const;
   /// View + simulated address of tensor `id`.
@@ -123,7 +115,6 @@ class InferenceEngine {
   std::vector<int8_t*> host_ptrs_;      ///< Per tensor id.
   std::vector<uint64_t> vaddrs_;        ///< Per tensor id.
   sim::MemRef scratch_mem_;             ///< DAE gather buffer placement.
-  const kernels::Backend* backend_ = nullptr;  ///< Pinned MAC backend.
 };
 
 }  // namespace daedvfs::runtime

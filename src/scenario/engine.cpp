@@ -260,7 +260,7 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
   // the recorder pointer and reads engine state without feeding back — the
   // report is bit-identical whether or not a sink is attached. Mission
   // events are stamped in sim time (microseconds of mission time), so an
-  // enabled trace is byte-reproducible across runs and backends.
+  // enabled trace is byte-reproducible across runs and kernel modes.
   obs::TraceRecorder* const tr = sink != nullptr ? sink->trace : nullptr;
   std::vector<const char*> rung_names;
   if (tr != nullptr) {

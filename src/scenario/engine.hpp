@@ -102,7 +102,7 @@ class MissionBatch {
 /// and counter tracks (obs::TraceRecorder) plus end-of-run counters
 /// (obs::MetricsRegistry). Recording is purely observational: the report is
 /// bit-identical with and without a sink, and an enabled trace is itself
-/// byte-identical across runs and kernel backends (fuzz-harness pinned).
+/// byte-identical across runs and kernel modes (fuzz-harness pinned).
 [[nodiscard]] MissionReport simulate_mission(const MissionSpec& spec,
                                              const SchedulePolicy& policy,
                                              double t_base_us,

@@ -1,13 +1,13 @@
 // Instruction-level cycle costs of the Cortex-M7 pipeline, used by kernels to
 // convert work (MACs, loads, requantizations) into cycles. The M7 is a
-// dual-issue in-order core; SMLAD-style SIMD MACs retire two int8 MACs per
+// dual-issue in-order core; SMLAD-style packed MACs retire two int8 MACs per
 // issue slot in tuned kernels, which the default cycles_per_mac reflects.
 #pragma once
 
 namespace daedvfs::sim {
 
 struct CostModelParams {
-  double cycles_per_mac = 0.75;        ///< Effective int8 MAC cost (SIMD).
+  double cycles_per_mac = 0.75;        ///< Effective int8 MAC cost (SMLAD).
   double cycles_per_load_word = 1.0;   ///< Pipelined 32-bit load issue.
   double cycles_per_store_word = 1.0;
   double cycles_per_requant = 5.0;     ///< Fixed-point rescale + saturate.

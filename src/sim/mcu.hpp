@@ -5,7 +5,7 @@
 // simulated time and integrates energy.
 //
 // This class is the substitution for the physical board + INA219 rig
-// (DESIGN.md §2). Everything is deterministic.
+// (docs/architecture.md, `sim/`). Everything is deterministic.
 #pragma once
 
 #include <cstdint>

@@ -59,9 +59,9 @@ struct QuantizedMultiplier {
 
 /// The full accumulator -> int8 requantization pipeline (fixed-point
 /// rescale, output zero-point add, activation clamp). The single definition
-/// of the quantized output semantics: every kernel backend (scalar, SIMD)
-/// and the reference oracles funnel through it, so a backend cannot diverge
-/// on rounding or saturation behaviour.
+/// of the quantized output semantics: the kernel microkernels and the
+/// reference oracles funnel through it, so they cannot diverge on rounding
+/// or saturation behaviour.
 [[nodiscard]] inline int8_t requantize_to_int8(int32_t acc,
                                                const QuantizedMultiplier& qm,
                                                int32_t output_zero_point,

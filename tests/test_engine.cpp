@@ -115,8 +115,30 @@ TEST(Engine, FullAndTimingModesAgreeOnCost) {
   sim::Mcu m1 = fresh_mcu(), m2 = fresh_mcu();
   const auto full = e1.run(m1, s, kernels::ExecMode::kFull, random_input(m, 3));
   const auto timing = e2.run(m2, s, kernels::ExecMode::kTiming);
-  EXPECT_DOUBLE_EQ(full.total_us, timing.total_us);
-  EXPECT_DOUBLE_EQ(full.total_energy_uj, timing.total_energy_uj);
+  EXPECT_EQ(full.total_us, timing.total_us);
+  EXPECT_EQ(full.total_energy_uj, timing.total_energy_uj);
+
+  // Every zoo model under a mixed DAE+DVFS schedule (granularities 1..8,
+  // DVFS on every other layer): the simulated totals must not depend on
+  // whether the int8 math ran.
+  for (const graph::Model& zm : graph::zoo::make_evaluation_suite()) {
+    SCOPED_TRACE(zm.name());
+    Schedule zs = make_uniform_schedule(zm, kHfo216);
+    for (std::size_t i = 0; i < zs.plans.size(); ++i) {
+      zs.plans[i].granularity = 1 + static_cast<int>(i % 8);
+      zs.plans[i].dvfs_enabled = (i % 2) == 0;
+    }
+    InferenceEngine ef(zm), et(zm);
+    sim::Mcu mf = fresh_mcu(), mt = fresh_mcu();
+    const auto zf =
+        ef.run(mf, zs, kernels::ExecMode::kFull, random_input(zm, 42));
+    const auto zt = et.run(mt, zs, kernels::ExecMode::kTiming);
+    EXPECT_FALSE(zf.output.empty());
+    EXPECT_EQ(zf.total_us, zt.total_us);
+    EXPECT_EQ(zf.total_energy_uj, zt.total_energy_uj);
+    EXPECT_EQ(mf.snapshot().cache.misses, mt.snapshot().cache.misses);
+    EXPECT_EQ(mf.snapshot().rcc.switches, mt.snapshot().rcc.switches);
+  }
 }
 
 TEST(Engine, DvfsScheduleTogglesClocksAndAttributesMemEnergy) {

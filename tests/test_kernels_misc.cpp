@@ -1,6 +1,8 @@
 // Tests for conv2d, fully-connected, global average pooling and residual add.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "kernels/add.hpp"
 #include "kernels/conv2d.hpp"
 #include "kernels/fully_connected.hpp"
@@ -79,28 +81,35 @@ TEST(Conv2d, ReluClampTightensOutputs) {
 }
 
 TEST(FullyConnected, MatchesOracle) {
-  tensor::QTensor in = random_tensor({1, 1, 1, 64}, 4);
-  tensor::QTensor w = random_tensor({10, 1, 1, 64}, 5, -90, 90);
-  tensor::BiasVector bias = random_bias(10, 6);
-  tensor::QTensor out({1, 1, 1, 10}, {0.05, -1});
-  tensor::QTensor expected({1, 1, 1, 10}, {0.05, -1});
+  uint32_t seed = 4;
+  for (int in_n : {1, 9, 16, 33, 64, 160}) {
+    for (int out_n : {1, 10}) {
+      SCOPED_TRACE("in=" + std::to_string(in_n) +
+                   " out=" + std::to_string(out_n));
+      tensor::QTensor in = random_tensor({1, 1, 1, in_n}, seed++);
+      tensor::QTensor w = random_tensor({out_n, 1, 1, in_n}, seed++, -90, 90);
+      tensor::BiasVector bias = random_bias(out_n, seed++);
+      tensor::QTensor out({1, 1, 1, out_n}, {0.05, -1});
+      tensor::QTensor expected({1, 1, 1, out_n}, {0.05, -1});
 
-  FullyConnectedArgs a;
-  a.input = ref_of(in, sim::kSramBase, sim::MemRegion::kSram);
-  a.weights = ref_of(w, sim::kFlashBase, sim::MemRegion::kFlash);
-  a.bias = bias.data();
-  a.bias_mem = {sim::kFlashBase + 0x40000, sim::MemRegion::kFlash};
-  a.output = ref_of(out, sim::kSramBase + 0x8000, sim::MemRegion::kSram);
-  a.params = basic_params(1, 0, 0.001);
-  ExecContext ctx;
-  fully_connected(a, ctx);
+      FullyConnectedArgs a;
+      a.input = ref_of(in, sim::kSramBase, sim::MemRegion::kSram);
+      a.weights = ref_of(w, sim::kFlashBase, sim::MemRegion::kFlash);
+      a.bias = bias.data();
+      a.bias_mem = {sim::kFlashBase + 0x40000, sim::MemRegion::kFlash};
+      a.output = ref_of(out, sim::kSramBase + 0x8000, sim::MemRegion::kSram);
+      a.params = basic_params(1, 0, 0.001);
+      ExecContext ctx;
+      fully_connected(a, ctx);
 
-  FullyConnectedArgs oracle = a;
-  oracle.output = ref_of(expected, sim::kSramBase + 0x8000,
-                         sim::MemRegion::kSram);
-  reference::fully_connected(oracle);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(out.data()[i], expected.data()[i]);
+      FullyConnectedArgs oracle = a;
+      oracle.output = ref_of(expected, sim::kSramBase + 0x8000,
+                             sim::MemRegion::kSram);
+      reference::fully_connected(oracle);
+      for (int i = 0; i < out_n; ++i) {
+        EXPECT_EQ(out.data()[i], expected.data()[i]) << "at " << i;
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "kernels/add.hpp"
 #include "kernels/conv2d.hpp"
@@ -234,40 +235,88 @@ TEST(KernelSweep, PoolingBitExactVsReference) {
   }
 }
 
+/// Everything the simulated cost stream produces: totals plus the
+/// per-clock-domain WorkLedger the DSE's replay and profile cache rest on.
+struct CostStream {
+  double t_us = 0.0;
+  double energy_uj = 0.0;
+  uint64_t misses = 0;
+  uint64_t switches = 0;
+  std::vector<sim::WorkLedger::Domain> domains;
+};
+
 /// The restructured math paths must not perturb the simulated cost stream:
-/// Full and Timing mode report identical time/energy for border-heavy
-/// shapes (large pad, stride 2) where the interior/border split is busiest.
+/// Full and Timing modes report the identical cost stream, bit for bit (the
+/// profile cache keys on bit-equality), for border-heavy shapes (large pad,
+/// stride 2) where the interior/border split is busiest, on the baseline and
+/// DAE paths, with the LFO/HFO DVFS hooks firing.
 TEST(KernelSweep, AccountingUnchangedAcrossModesOnBorderHeavyShapes) {
-  for (int pad : {1, 2}) {
-    for (int stride : {1, 2}) {
-      auto run = [&](ExecMode mode) {
-        tensor::QTensor in = random_tensor({1, 7, 9, 6}, 77);
-        tensor::QTensor wt = random_tensor({1, 5, 5, 6}, 78, -90, 90);
-        tensor::BiasVector bv = random_bias(6, 79);
-        const int oh = (7 + 2 * pad - 5) / stride + 1;
-        const int ow = (9 + 2 * pad - 5) / stride + 1;
-        if (oh < 1 || ow < 1) return std::pair{0.0, 0.0};
-        tensor::QTensor out({1, oh, ow, 6}, {0.05, -1});
-        sim::Mcu mcu;
-        ExecContext ctx;
-        ctx.mcu = &mcu;
-        ctx.mode = mode;
-        DepthwiseArgs a;
-        a.input = ref_of(in, sim::kSramBase, sim::MemRegion::kSram);
-        a.weights = ref_of(wt, sim::kFlashBase, sim::MemRegion::kFlash);
-        a.bias = bv.data();
-        a.bias_mem = {sim::kFlashBase + 0x40000, sim::MemRegion::kFlash};
-        a.output = ref_of(out, sim::kSramBase + 0x8000,
-                          sim::MemRegion::kSram);
-        a.params = basic_params(stride, pad);
-        a.granularity = 4;
-        depthwise_conv(a, ctx);
-        return std::pair{mcu.time_us(), mcu.energy_uj()};
-      };
-      const auto full = run(ExecMode::kFull);
-      const auto timing = run(ExecMode::kTiming);
-      EXPECT_DOUBLE_EQ(full.first, timing.first);
-      EXPECT_DOUBLE_EQ(full.second, timing.second);
+  for (int k : {3, 5}) {
+    for (int pad : {1, 2}) {
+      for (int stride : {1, 2}) {
+        for (int g : {0, 4}) {
+          SCOPED_TRACE(case_str(7, 9, k, stride, pad, true, g));
+          auto run = [&](ExecMode mode) {
+            tensor::QTensor in = random_tensor({1, 7, 9, 6}, 77);
+            tensor::QTensor wt = random_tensor({1, k, k, 6}, 78, -90, 90);
+            tensor::BiasVector bv = random_bias(6, 79);
+            const int oh = (7 + 2 * pad - k) / stride + 1;
+            const int ow = (9 + 2 * pad - k) / stride + 1;
+            tensor::QTensor out({1, oh, ow, 6}, {0.05, -1});
+            sim::Mcu mcu;
+            sim::WorkLedger ledger;
+            mcu.set_ledger(&ledger);
+            LfoHfoPolicy policy(clock::ClockConfig::hse_direct(50.0),
+                                clock::ClockConfig::pll_hse(50.0, 25, 216, 2));
+            ExecContext ctx;
+            ctx.mcu = &mcu;
+            ctx.mode = mode;
+            ctx.dvfs = &policy;
+            DepthwiseArgs a;
+            a.input = ref_of(in, sim::kSramBase, sim::MemRegion::kSram);
+            a.weights = ref_of(wt, sim::kFlashBase, sim::MemRegion::kFlash);
+            a.bias = bv.data();
+            a.bias_mem = {sim::kFlashBase + 0x40000, sim::MemRegion::kFlash};
+            a.output = ref_of(out, sim::kSramBase + 0x8000,
+                              sim::MemRegion::kSram);
+            a.params = basic_params(stride, pad);
+            a.granularity = g;
+            depthwise_conv(a, ctx);
+            CostStream c;
+            c.t_us = mcu.time_us();
+            c.energy_uj = mcu.energy_uj();
+            c.misses = mcu.snapshot().cache.misses;
+            c.switches = mcu.snapshot().rcc.switches;
+            c.domains = ledger.domains;
+            return c;
+          };
+          const CostStream full = run(ExecMode::kFull);
+          const CostStream timing = run(ExecMode::kTiming);
+          ASSERT_FALSE(full.domains.empty());
+          if (g > 0) {
+            EXPECT_GT(full.switches, 0u);
+          }
+          EXPECT_EQ(full.t_us, timing.t_us);
+          EXPECT_EQ(full.energy_uj, timing.energy_uj);
+          EXPECT_EQ(full.misses, timing.misses);
+          EXPECT_EQ(full.switches, timing.switches);
+          ASSERT_EQ(full.domains.size(), timing.domains.size());
+          for (std::size_t i = 0; i < full.domains.size(); ++i) {
+            const auto& x = full.domains[i];
+            const auto& y = timing.domains[i];
+            EXPECT_TRUE(x.config == y.config) << "domain " << i;
+            EXPECT_EQ(x.compute_cycles, y.compute_cycles);
+            EXPECT_EQ(x.issue_cycles, y.issue_cycles);
+            EXPECT_EQ(x.sram_misses, y.sram_misses);
+            EXPECT_EQ(x.flash_misses, y.flash_misses);
+            EXPECT_EQ(x.writebacks, y.writebacks);
+            EXPECT_EQ(x.charge_issue_cycles, y.charge_issue_cycles);
+            EXPECT_EQ(x.charge_stall_ns, y.charge_stall_ns);
+            EXPECT_EQ(x.switches_in, y.switches_in);
+            EXPECT_EQ(x.switch_us, y.switch_us);
+          }
+        }
+      }
     }
   }
 }

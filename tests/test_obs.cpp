@@ -2,7 +2,7 @@
 // emission helpers it standardizes on (src/util/json_writer.hpp), plus the
 // instrumentation hooks grown on ProfileCache and ThreadPool for the
 // metrics registry. The end-to-end determinism contract (traced run ==
-// untraced run, trace byte-stable across runs/backends) lives in
+// untraced run, trace byte-stable across runs/kernel modes) lives in
 // tests/test_scenario_fuzz.cpp; this file pins the building blocks.
 #include <gtest/gtest.h>
 

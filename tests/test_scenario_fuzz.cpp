@@ -7,8 +7,8 @@
 // seed that
 //
 //   (a) the same seed reproduces a byte-identical MissionReport JSON across
-//       two runs (and, in GoldenMissionReport / BackendsAgree below, across
-//       schema revisions and kernel backends), and
+//       two runs (and, in GoldenMissionReport / FullAndTimingLaddersAgree
+//       below, across schema revisions and kernel execution modes), and
 //   (b) the report's physical invariants hold: the battery only ever
 //       discharges and the external energy split never exceeds the charge
 //       drawn, frame accounting closes (captured = served + shed + dropped
@@ -36,7 +36,6 @@
 #include <string>
 
 #include "graph/builder.hpp"
-#include "kernels/backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
@@ -233,16 +232,16 @@ TEST(ScenarioFuzz, SeedsDiversify) {
   EXPECT_EQ(bodies.size(), 16u);
 }
 
-// ---- Cross-backend determinism ----------------------------------------
+// ---- Full/Timing determinism -----------------------------------------
 //
 // Rung measurements come from full-model simulation; missions must not
-// depend on which kernel backend (scalar / SIMD) executed the math. The
-// cost stream is backend-independent by design (PR 3, DESIGN.md §5.1) —
-// this pins it end-to-end at the mission level: Full-mode measurements
-// under every compiled-in backend must produce byte-identical
-// MissionReports.
-TEST(ScenarioFuzz, BackendsAgreeOnMissionReports) {
-  graph::ModelBuilder b("fuzz-backend", 32, 32, 3, 7);
+// depend on whether the kernels performed the int8 math. Kernels report the
+// same work events in both modes by design (docs/kernels.md § "The two
+// invariants") — this pins it end-to-end at the mission level: the two-rung
+// ladder measured in Full mode and in Timing mode must produce
+// byte-identical MissionReports and traces.
+TEST(ScenarioFuzz, FullAndTimingLaddersAgreeOnMissionReports) {
+  graph::ModelBuilder b("fuzz-modes", 32, 32, 3, 7);
   int x = b.conv2d(graph::ModelBuilder::input(), 8, 3, 2, true);
   x = b.depthwise(x, 3, 1, true);
   x = b.pointwise(x, 16, false);
@@ -251,15 +250,15 @@ TEST(ScenarioFuzz, BackendsAgreeOnMissionReports) {
   const graph::Model model = b.take();
   const sim::SimParams sim;
 
-  // One schedule per rung family, measured in Full mode per backend.
+  // One schedule per rung family, measured once per execution mode.
   const clock::ClockConfig fast = clock::ClockConfig::pll_hse(50.0, 25, 216, 2);
   const clock::ClockConfig mid = clock::ClockConfig::pll_hse(50.0, 25, 168, 2);
 
   std::vector<std::string> reports;
   std::vector<std::string> traces;
-  for (const kernels::Backend* backend : kernels::available_backends()) {
+  for (kernels::ExecMode mode :
+       {kernels::ExecMode::kFull, kernels::ExecMode::kTiming}) {
     runtime::InferenceEngine engine(model);
-    engine.set_backend(backend);
     std::vector<RungInfo> rungs;
     int idx = 0;
     for (const clock::ClockConfig& cfg : {fast, mid}) {
@@ -268,8 +267,7 @@ TEST(ScenarioFuzz, BackendsAgreeOnMissionReports) {
       sim::SimParams params = sim;
       params.boot = cfg;
       sim::Mcu mcu(params);
-      const runtime::InferenceResult res =
-          engine.run(mcu, sched, kernels::ExecMode::kFull);
+      const runtime::InferenceResult res = engine.run(mcu, sched, mode);
       RungInfo rung;
       rung.name = "r" + std::to_string(idx++);
       rung.qos_slack = 0.1 * idx;
@@ -280,10 +278,10 @@ TEST(ScenarioFuzz, BackendsAgreeOnMissionReports) {
       rung.max_sysclk_mhz = cfg.sysclk_mhz();
       rungs.push_back(rung);
     }
-    LadderPolicy gov(rungs, sim.switching, sim.power, "xbackend", true);
+    LadderPolicy gov(rungs, sim.switching, sim.power, "xmode", true);
 
     MissionSpec spec = random_spec(424242);
-    spec.name = "xbackend";
+    spec.name = "xmode";
     obs::TraceRecorder tr;
     obs::Sink sink{&tr, nullptr};
     const MissionReport r =
@@ -291,17 +289,11 @@ TEST(ScenarioFuzz, BackendsAgreeOnMissionReports) {
     reports.push_back(report_json(r));
     traces.push_back(trace_json(tr));
   }
-  ASSERT_GE(reports.size(), 1u);
-  for (std::size_t i = 1; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[0], reports[i])
-        << "backend " << kernels::available_backends()[i]->name
-        << " diverged from "
-        << kernels::available_backends()[0]->name;
-    EXPECT_EQ(traces[0], traces[i])
-        << "backend " << kernels::available_backends()[i]->name
-        << " emitted a different mission trace than "
-        << kernels::available_backends()[0]->name;
-  }
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0], reports[1])
+      << "Timing-mode ladder diverged from the Full-mode ladder";
+  EXPECT_EQ(traces[0], traces[1])
+      << "Timing-mode ladder emitted a different mission trace";
 }
 
 // ---- Golden report ----------------------------------------------------
