@@ -1,8 +1,8 @@
 // Exploration throughput benchmark: serial unmemoized explore_model vs the
-// fast path (profile memoization + frequency replay + analytic prefilter +
-// parallel profiling), on a MobileNet-class zoo model. Verifies on every run
-// that the fast path produces identical per-layer Pareto fronts and an
-// identical MCKP schedule, then emits BENCH_explore.json with wall-clock,
+// fast path (profile memoization + frequency replay + parallel profiling),
+// on a MobileNet-class zoo model. Verifies on every run that the fast path
+// produces identical per-layer Pareto fronts and an identical MCKP
+// schedule, then emits BENCH_explore.json with wall-clock,
 // candidates/sec, cache hit rate and the speedup — the perf-trajectory
 // artifact for this pipeline.
 //
@@ -97,13 +97,11 @@ int main(int argc, char** argv) {
 
   dse::ExploreOptions serial;
   serial.memoize = false;
-  serial.prefilter = false;
   serial.freq_replay = false;
   serial.num_threads = 1;
 
   dse::ExploreOptions fast;
   fast.memoize = true;
-  fast.prefilter = true;
   fast.freq_replay = true;
   fast.num_threads = threads;
   obs::MetricsRegistry metrics;
@@ -133,21 +131,18 @@ int main(int argc, char** argv) {
   };
   const bool metrics_ok =
       counter_is("explore.total_candidates", opt.stats.total_candidates) &&
-      counter_is("explore.pruned", opt.stats.pruned) &&
       counter_is("explore.profiled", opt.stats.profiled) &&
       counter_is("explore.cache_hits", opt.stats.cache_hits) &&
       counter_is("explore.replayed", opt.stats.replayed) &&
-      // Fresh per-run cache: every surviving candidate probes it once and
-      // misses; hits only happen when a cache is shared across calls.
-      counter_is("profile_cache.misses",
-                 opt.stats.total_candidates - opt.stats.pruned) &&
+      // Fresh per-run cache: every candidate probes it once and misses;
+      // hits only happen when a cache is shared across calls.
+      counter_is("profile_cache.misses", opt.stats.total_candidates) &&
       counter_is("profile_cache.hits", 0);
 
   const double speedup = base.wall_ms > 0.0 ? base.wall_ms / opt.wall_ms : 0.0;
   const auto cands_per_sec = [](const RunResult& r) {
     return r.wall_ms > 0.0
-               ? static_cast<double>(r.stats.total_candidates -
-                                     r.stats.pruned) /
+               ? static_cast<double>(r.stats.total_candidates) /
                      (r.wall_ms * 1e-3)
                : 0.0;
   };
@@ -170,7 +165,6 @@ int main(int argc, char** argv) {
      << "    \"replayed\": " << opt.stats.replayed << ",\n"
      << "    \"cache_hits\": " << opt.stats.cache_hits << ",\n"
      << "    \"cache_hit_rate\": " << opt.stats.hit_rate() << ",\n"
-     << "    \"pruned\": " << opt.stats.pruned << ",\n"
      << "    \"candidates_per_sec\": " << cands_per_sec(opt) << "\n"
      << "  },\n"
      << "  \"speedup\": " << speedup << ",\n"
@@ -190,8 +184,7 @@ int main(int argc, char** argv) {
             << " sims)\n"
             << "fast:   " << opt.wall_ms << " ms (" << opt.stats.profiled
             << " sims, " << opt.stats.replayed << " replayed, "
-            << opt.stats.cache_hits << " memo hits, " << opt.stats.pruned
-            << " pruned)\n"
+            << opt.stats.cache_hits << " memo hits)\n"
             << "speedup: " << speedup << "x, fronts "
             << (fronts_ok ? "identical" : "MISMATCH") << ", schedules "
             << (sched_ok ? "identical" : "MISMATCH") << " -> " << out_path

@@ -21,7 +21,6 @@ struct Probe {
 };
 
 void sweep(const graph::Model& model, const Probe& probe) {
-  runtime::InferenceEngine engine(model);
   const power::PowerModel pm;
   const dse::DesignSpace space = dse::make_paper_design_space(pm);
   dse::ExploreOptions opts;
@@ -43,8 +42,8 @@ void sweep(const graph::Model& model, const Probe& probe) {
     cand.granularity = 8;
     cand.dvfs_enabled = true;
     cand.hfo = hfo;
-    const auto sol =
-        dse::profile_candidate(engine, probe.layer_idx, cand, space.lfo, opts);
+    const auto sol = dse::profile_candidate_isolated(model, probe.layer_idx,
+                                                     cand, space.lfo, opts);
     std::cout << "  " << std::setw(6) << std::fixed << std::setprecision(0)
               << hfo.sysclk_mhz() << "   " << std::setw(11)
               << std::setprecision(3) << sol.t_us / 1000.0 << "   "
@@ -59,8 +58,8 @@ void sweep(const graph::Model& model, const Probe& probe) {
     cand.granularity = g;
     cand.dvfs_enabled = g > 0;
     cand.hfo = space.hfo_configs.back();  // 216 MHz
-    const auto sol =
-        dse::profile_candidate(engine, probe.layer_idx, cand, space.lfo, opts);
+    const auto sol = dse::profile_candidate_isolated(model, probe.layer_idx,
+                                                     cand, space.lfo, opts);
     std::cout << "  " << std::setw(2) << g << "       " << std::setw(11)
               << std::fixed << std::setprecision(3) << sol.t_us / 1000.0
               << "   " << std::setw(9) << std::setprecision(1)

@@ -25,15 +25,14 @@ struct PipelineConfig {
   double qos_slack = 0.10;
   dse::DesignSpace space;
   /// Exploration options. The pipeline defaults enable the fast path —
-  /// frequency replay + the analytic dominance prefilter on top of the
-  /// always-exact memoization (docs/perf.md): emitted schedules are
-  /// identical to the exact sweep across the model zoo (pinned in
+  /// frequency replay on top of the always-exact memoization
+  /// (docs/perf.md): every candidate is still evaluated, emitted schedules
+  /// are identical to the exact sweep across the model zoo (pinned in
   /// tests/test_pipeline.cpp) at an order of magnitude less exploration
   /// cost. Set `exact_simulation` for bitwise-exact simulator output.
   dse::ExploreOptions explore = [] {
     dse::ExploreOptions o;
     o.freq_replay = true;
-    o.prefilter = true;
     return o;
   }();
   /// DP discretization width (see mckp::solve_dp).
@@ -54,22 +53,19 @@ struct PipelineConfig {
   /// re-simulating only when a swap changes a layer's granularity.
   int max_repair_iterations = 64;
   /// Escape hatch: measure every DSE candidate and every repair-loop
-  /// schedule directly on the simulator — disables frequency replay, the
-  /// analytic prefilter and whole-schedule replay. Profile memoization
-  /// stays on (it is bitwise exact). Schedules are identical to the fast
-  /// path across the model zoo; use this to re-validate that equivalence
+  /// schedule directly on the simulator — disables frequency replay and
+  /// whole-schedule replay. Profile memoization stays on (it is bitwise
+  /// exact). Schedules are identical to the fast path across the model
+  /// zoo; use this to re-validate that equivalence
   /// or when adding simulator channels replay does not model yet.
   bool exact_simulation = false;
 
-  /// Exploration options a run actually uses: `explore` with the fast-path
-  /// knobs stripped when `exact_simulation` is set. The single place that
+  /// Exploration options a run actually uses: `explore` with frequency
+  /// replay stripped when `exact_simulation` is set. The single place that
   /// downgrade lives (Pipeline::run and the governor ladder both call it).
   [[nodiscard]] dse::ExploreOptions effective_explore() const {
     dse::ExploreOptions o = explore;
-    if (exact_simulation) {
-      o.freq_replay = false;
-      o.prefilter = false;
-    }
+    if (exact_simulation) o.freq_replay = false;
     return o;
   }
 };

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "dse/cost_estimate.hpp"
 #include "dse/freq_replay.hpp"
 #include "dse/pareto.hpp"
 #include "dse/profile_cache.hpp"
@@ -51,25 +50,6 @@ kernels::TensorRef bind_canonical(const graph::Model& model, int tensor_id,
 }
 
 }  // namespace
-
-LayerSolution profile_candidate(const runtime::InferenceEngine& engine,
-                                int layer_idx, const LayerSolution& candidate,
-                                const clock::ClockConfig& lfo,
-                                const ExploreOptions& opts) {
-  // Fresh MCU booted directly at the candidate HFO: the layer-entry clock
-  // switch is then a no-op and the profile captures only the layer itself.
-  // Inter-layer relock costs are paid (and measured) in the final schedule
-  // evaluation, matching the paper's per-layer profiling methodology.
-  sim::SimParams params = opts.sim;
-  params.boot = candidate.hfo;
-  sim::Mcu mcu(params);
-  const runtime::LayerProfile prof = engine.run_layer(
-      mcu, layer_idx, candidate.to_plan(lfo), kernels::ExecMode::kTiming);
-  LayerSolution out = candidate;
-  out.t_us = prof.t_us;
-  out.energy_uj = prof.energy_uj;
-  return out;
-}
 
 LayerSolution profile_candidate_isolated(const graph::Model& model,
                                          int layer_idx,
@@ -183,7 +163,6 @@ std::vector<LayerSolutionSet> explore_model(const graph::Model& model,
       gs = {0};  // "rest" layers: frequency-only exploration (Fig. 6).
     }
 
-    std::vector<LayerSolution> cands;
     for (int g : gs) {
       if (opts.max_scratch_bytes != 0 &&
           scratch_bytes(model, layer, g) > opts.max_scratch_bytes) {
@@ -194,50 +173,19 @@ std::vector<LayerSolutionSet> explore_model(const graph::Model& model,
         cand.granularity = g;
         cand.hfo = hfo;
         cand.dvfs_enabled = g > 0;
-        cands.push_back(cand);
+        set.all.push_back(cand);
       }
     }
-    st.total_candidates += static_cast<std::int64_t>(cands.size());
+    st.total_candidates += static_cast<std::int64_t>(set.all.size());
 
-    if (opts.prefilter) {
-      std::vector<CostEstimate> est(cands.size());
-      for (std::size_t j = 0; j < cands.size(); ++j) {
-        est[j] = estimate_candidate(model, layer, cands[j].granularity,
-                                    cands[j].dvfs_enabled, cands[j].hfo,
-                                    space.lfo, opts.sim);
-      }
-      std::vector<LayerSolution> kept;
-      kept.reserve(cands.size());
-      for (std::size_t j = 0; j < cands.size(); ++j) {
-        bool dominated = false;
-        for (std::size_t k = 0; k < cands.size() && !dominated; ++k) {
-          if (k == j) continue;
-          dominated = dominated_with_margin(est[j], est[k],
-                                            opts.prefilter_margin);
-          // Mutual domination only happens on exact ties (margin 0):
-          // keep the earliest-enumerated of a tied group.
-          if (dominated &&
-              dominated_with_margin(est[k], est[j], opts.prefilter_margin)) {
-            dominated = k < j;
-          }
-        }
-        if (dominated) {
-          ++st.pruned;
-        } else {
-          kept.push_back(cands[j]);
-        }
-      }
-      cands = std::move(kept);
-    }
-
-    for (LayerSolution& cand : cands) {
+    for (std::size_t pos = 0; pos < set.all.size(); ++pos) {
+      const LayerSolution& cand = set.all[pos];
       Slot slot;
       slot.layer_idx = i;
-      slot.pos = set.all.size();
+      slot.pos = pos;
       slot.sig = sig;
       slot.cand = candidate_hash(cand.granularity, cand.dvfs_enabled,
                                  cand.hfo, space.lfo);
-      set.all.push_back(cand);
 
       if (!opts.memoize) {
         slot.job = jobs.size();
@@ -341,7 +289,6 @@ std::vector<LayerSolutionSet> explore_model(const graph::Model& model,
     if (obs::MetricsRegistry* mx = opts.sink->metrics) {
       mx->counter("explore.total_candidates")
           .add(static_cast<std::uint64_t>(st.total_candidates));
-      mx->counter("explore.pruned").add(static_cast<std::uint64_t>(st.pruned));
       mx->counter("explore.profiled")
           .add(static_cast<std::uint64_t>(st.profiled));
       mx->counter("explore.cache_hits")
@@ -351,8 +298,6 @@ std::vector<LayerSolutionSet> explore_model(const graph::Model& model,
       const ProfileCache::Stats& cs = cache->stats();
       mx->counter("profile_cache.hits").add(cs.hits - cache_before.hits);
       mx->counter("profile_cache.misses").add(cs.misses - cache_before.misses);
-      mx->counter("profile_cache.evictions")
-          .add(cs.evictions - cache_before.evictions);
       mx->gauge("profile_cache.entries")
           .set(static_cast<double>(cache->size()));
       mx->counter("thread_pool.tasks").add(pool_stats.tasks);

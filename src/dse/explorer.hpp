@@ -3,16 +3,16 @@
 // simulated MCU in Timing mode; Pareto-optimal (latency, energy) solutions
 // are extracted per layer for the MCKP stage.
 //
-// Exploration cost is kept near the information-theoretic minimum by three
-// orthogonal mechanisms (docs/perf.md):
+// The sweep is exhaustive: every candidate lands in LayerSolutionSet::all.
+// Its cost is kept low by three orthogonal mechanisms (docs/perf.md):
 //   * memoization — structurally identical layers (ubiquitous in the
 //     MobileNet family) share one profile per candidate config;
+//   * frequency replay — one simulation per (layer signature, granularity)
+//     covers every HFO of the sweep in closed form (opt-in);
 //   * parallel profiling — candidates fan out over a thread pool (each
-//     profile runs on its own isolated sim::Mcu);
-//   * analytic prefiltering — candidates dominated on both axes beyond the
-//     cost model's error margin are never simulated (opt-in).
-// Results are bitwise independent of thread count and (with the prefilter
-// off) identical to the serial unmemoized sweep.
+//     profile runs on its own isolated sim::Mcu).
+// Results are bitwise independent of thread count and (with frequency
+// replay off) identical to the serial unmemoized sweep.
 #pragma once
 
 #include <cstdint>
@@ -80,15 +80,6 @@ struct ExploreOptions {
   /// schedules are preserved. Off by default: the default path reports
   /// bitwise-exact simulator output for every candidate.
   bool freq_replay = false;
-  /// Skip simulating candidates whose analytic estimate is dominated by
-  /// another candidate of the same layer on both time and energy by more
-  /// than `prefilter_margin` (relative) — see dse/cost_estimate.hpp. Pruned
-  /// candidates do not appear in LayerSolutionSet::all. Off by default: the
-  /// sweep is then exhaustive and exact. The default margin is calibrated
-  /// against the zoo models (tools: tests/test_explore_fast.cpp pins front
-  /// preservation; bench_explore re-verifies it on every run).
-  bool prefilter = false;
-  double prefilter_margin = 0.10;
   /// Observability sink (docs/observability.md). When non-null, the
   /// explorer publishes explore.* / profile_cache.* / thread_pool.*
   /// counters to sink->metrics and a wall-clock "explore_model" span on the
@@ -98,28 +89,23 @@ struct ExploreOptions {
 };
 
 /// Exploration accounting, for benchmarking and regression tracking.
+/// Every candidate is resolved exactly one way:
+/// profiled + replayed + cache_hits == total_candidates.
 struct ExploreStats {
   std::int64_t total_candidates = 0;  ///< After the scratch bound.
-  std::int64_t pruned = 0;            ///< Removed by the analytic prefilter.
+  /// Always 0: the sweep is exhaustive. Kept because the whole-pipeline
+  /// benchmark still reads it.
+  std::int64_t pruned = 0;
   std::int64_t profiled = 0;          ///< Simulations actually executed.
   std::int64_t cache_hits = 0;        ///< Candidates served from the memo.
   std::int64_t replayed = 0;          ///< Candidates evaluated by freq replay.
 
   [[nodiscard]] double hit_rate() const {
-    const std::int64_t served = total_candidates - pruned;
-    return served > 0 ? static_cast<double>(cache_hits) /
-                            static_cast<double>(served)
-                      : 0.0;
+    return total_candidates > 0 ? static_cast<double>(cache_hits) /
+                                      static_cast<double>(total_candidates)
+                                : 0.0;
   }
 };
-
-/// Profiles one (layer, plan) candidate in situ on `engine`'s activation
-/// placement, on a fresh MCU; returns (t, E). Kept for single-layer probes
-/// (bench_fig4); explore_model uses the canonical isolated profiler below.
-[[nodiscard]] LayerSolution profile_candidate(
-    const runtime::InferenceEngine& engine, int layer_idx,
-    const LayerSolution& candidate, const clock::ClockConfig& lfo,
-    const ExploreOptions& opts);
 
 /// Profiles one candidate with *canonical* tensor placement (input at the
 /// SRAM base, output/scratch/weights at deterministic offsets derived from

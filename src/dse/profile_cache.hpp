@@ -77,11 +77,11 @@ struct ProfileEntry {
 /// from the coordinating thread only; share one instance across explore
 /// calls via ExploreOptions::cache to reuse profiles between models/QoS
 /// sweeps. Once filled, concurrent *readers* are safe — lookup() on a
-/// quiescent map is a const hash-table find, and the hit/miss/eviction
-/// counters are atomics (relaxed: they are observability, never an input
-/// to anything deterministic) — which is what lets the fleet layer share
-/// one warm per-class cache across worker threads. Mixing store() with
-/// concurrent lookup() remains a data race on the map.
+/// quiescent map is a const hash-table find, and the hit/miss counters are
+/// atomics (relaxed: they are observability, never an input to anything
+/// deterministic) — which is what lets the fleet layer share one warm
+/// per-class cache across worker threads. Mixing store() with concurrent
+/// lookup() remains a data race on the map.
 class ProfileCache {
  public:
   /// Counter snapshot. stats() returns this by value: a coherent-enough
@@ -89,7 +89,6 @@ class ProfileCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     [[nodiscard]] double hit_rate() const {
       const std::uint64_t total = hits + misses;
       return total ? static_cast<double>(hits) / static_cast<double>(total)
@@ -111,27 +110,13 @@ class ProfileCache {
 
   void store(std::uint64_t sig, std::uint64_t cand, std::uint64_t sim_fp,
              const ProfileEntry& e) {
-    const std::uint64_t key = key_of(sig, cand, sim_fp);
-    if (capacity_ > 0 && map_.size() >= capacity_ &&
-        map_.find(key) == map_.end()) {
-      map_.erase(map_.begin());
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    map_[key] = e;
+    map_[key_of(sig, cand, sim_fp)] = e;
   }
-
-  /// Bounds the table to `capacity` entries; 0 (the default) means
-  /// unbounded. When full, store() of a new key evicts an arbitrary
-  /// resident entry — correctness is unaffected (a cache miss just
-  /// re-profiles), only the hit rate.
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   [[nodiscard]] Stats stats() const {
     Stats s;
     s.hits = hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
     return s;
   }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
@@ -150,8 +135,6 @@ class ProfileCache {
   std::unordered_map<std::uint64_t, ProfileEntry> map_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::size_t capacity_ = 0;
 };
 
 }  // namespace daedvfs::dse

@@ -1,7 +1,7 @@
 // Named counters/gauges/histograms for engine-wide accounting: ProfileCache
-// hits/misses/evictions, ThreadPool throughput, explorer prune/simulate
-// split, governor decision mix, scenario-engine event totals. One registry
-// per run; components hoist references to their instruments once (std::map
+// hits/misses, ThreadPool throughput, explorer simulate/replay/memo split,
+// governor decision mix, scenario-engine event totals. One registry per
+// run; components hoist references to their instruments once (std::map
 // storage keeps references stable) and bump them on the hot path with a
 // single add.
 //

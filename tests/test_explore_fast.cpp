@@ -1,13 +1,12 @@
 // Tests for the fast exploration machinery: profile memoization must be
 // exact (bitwise equal to the serial unmemoized sweep), parallel profiling
 // must be deterministic for any thread count, persistent caches must carry
-// profiles across calls, and the analytic prefilter must preserve the
-// Pareto fronts it feeds to the MCKP.
+// profiles across calls, and frequency replay must preserve the Pareto
+// fronts it feeds to the MCKP.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "dse/cost_estimate.hpp"
 #include "dse/explorer.hpp"
 #include "dse/freq_replay.hpp"
 #include "dse/profile_cache.hpp"
@@ -112,35 +111,6 @@ TEST(ExploreFast, CacheKeySeparatesSimParameterizations) {
   EXPECT_GT(b[1].all[0].t_us, a[1].all[0].t_us);
 }
 
-TEST(ExploreFast, PrefilterPreservesParetoFronts) {
-  const graph::Model m = repeated_block_model();
-  const power::PowerModel pm;
-  const DesignSpace ds = make_paper_design_space(pm);
-
-  ExploreOptions exact;
-  const auto full = explore_model(m, ds, exact);
-
-  ExploreOptions pruned;
-  pruned.prefilter = true;
-  ExploreStats st;
-  const auto filtered = explore_model(m, ds, pruned, &st);
-
-  ASSERT_EQ(full.size(), filtered.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    ASSERT_EQ(full[i].pareto.size(), filtered[i].pareto.size())
-        << "layer " << i << ": prefilter changed the front";
-    for (std::size_t j = 0; j < full[i].pareto.size(); ++j) {
-      EXPECT_EQ(full[i].pareto[j].granularity,
-                filtered[i].pareto[j].granularity);
-      EXPECT_EQ(full[i].pareto[j].hfo, filtered[i].pareto[j].hfo);
-      EXPECT_DOUBLE_EQ(full[i].pareto[j].t_us, filtered[i].pareto[j].t_us);
-      EXPECT_DOUBLE_EQ(full[i].pareto[j].energy_uj,
-                       filtered[i].pareto[j].energy_uj);
-    }
-  }
-  EXPECT_GT(st.pruned, 0) << "prefilter pruned nothing on the paper space";
-}
-
 TEST(ExploreFast, IsolatedProfileIsAPureFunctionOfTheSignature) {
   // Two models whose layer 1 is structurally identical but placed behind
   // different predecessors (different arena offsets, weight addresses):
@@ -168,36 +138,6 @@ TEST(ExploreFast, IsolatedProfileIsAPureFunctionOfTheSignature) {
   const LayerSolution p2 = profile_candidate_isolated(m2, 0, cand, lfo, opts);
   EXPECT_DOUBLE_EQ(p1.t_us, p2.t_us);
   EXPECT_DOUBLE_EQ(p1.energy_uj, p2.energy_uj);
-}
-
-TEST(ExploreFast, ZeroMarginPrefilterKeepsOneOfEachExactTie) {
-  // A 1x1-spatial pointwise layer covers every granularity in a single
-  // group, so all g > 0 candidates have bit-identical estimates; with
-  // margin 0 they mutually dominate and the prune must keep the earliest —
-  // never drop a whole tied group.
-  graph::ModelBuilder b("tie", 1, 1, 16, 5);
-  b.pointwise(graph::ModelBuilder::input(), 16, false);
-  const graph::Model m = b.take();
-  const power::PowerModel pm;
-  DesignSpace ds = make_reduced_design_space(pm);
-  ds.hfo_configs = {ds.hfo_configs.back()};  // single frequency: only ties
-  ds.granularities = {2, 4, 8};              // all equivalent at 1 column
-
-  ExploreOptions exact;
-  const auto full = explore_model(m, ds, exact);
-  ExploreOptions pruned;
-  pruned.prefilter = true;
-  pruned.prefilter_margin = 0.0;
-  const auto filtered = explore_model(m, ds, pruned);
-
-  ASSERT_EQ(full[0].all.size(), 3u);
-  ASSERT_EQ(filtered[0].all.size(), 1u)
-      << "exactly one of the tied group must survive";
-  EXPECT_EQ(filtered[0].all[0].granularity, 2);
-  ASSERT_EQ(filtered[0].pareto.size(), full[0].pareto.size());
-  EXPECT_DOUBLE_EQ(filtered[0].pareto[0].t_us, full[0].pareto[0].t_us);
-  EXPECT_DOUBLE_EQ(filtered[0].pareto[0].energy_uj,
-                   full[0].pareto[0].energy_uj);
 }
 
 TEST(ExploreFast, SharedCacheKeepsReplayAndExactEntriesApart) {
@@ -302,37 +242,6 @@ TEST(FreqReplay, ExploreWithReplayPreservesFrontsAndRanking) {
           << "layer " << i << " front " << j;
       EXPECT_EQ(direct[i].pareto[j].hfo, replayed[i].pareto[j].hfo)
           << "layer " << i << " front " << j;
-    }
-  }
-}
-
-TEST(CostEstimate, TracksSimulatedOrderOfMagnitude) {
-  // The prefilter model need not be exact, but it must land in the right
-  // ballpark of the simulated profile for the dominance margin to mean
-  // anything: require agreement within 3x on representative candidates.
-  const graph::Model m = repeated_block_model();
-  const power::PowerModel pm;
-  const DesignSpace ds = make_reduced_design_space(pm);
-  ExploreOptions opts;
-  for (int layer_idx : {0, 1, 2}) {
-    const graph::LayerSpec& layer =
-        m.layers()[static_cast<std::size_t>(layer_idx)];
-    for (const auto& hfo : ds.hfo_configs) {
-      for (int g : layer.is_dae_eligible() ? std::vector<int>{0, 4}
-                                           : std::vector<int>{0}) {
-        LayerSolution cand;
-        cand.granularity = g;
-        cand.dvfs_enabled = g > 0;
-        cand.hfo = hfo;
-        const LayerSolution sim =
-            profile_candidate_isolated(m, layer_idx, cand, ds.lfo, opts);
-        const CostEstimate est = estimate_candidate(
-            m, layer, g, g > 0, hfo, ds.lfo, opts.sim);
-        EXPECT_LT(est.t_us, sim.t_us * 3.0);
-        EXPECT_GT(est.t_us, sim.t_us / 3.0);
-        EXPECT_LT(est.energy_uj, sim.energy_uj * 3.0);
-        EXPECT_GT(est.energy_uj, sim.energy_uj / 3.0);
-      }
     }
   }
 }

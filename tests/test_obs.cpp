@@ -220,40 +220,14 @@ TEST(MetricsRegistry, EmptyRegistryDumpsEmptySections) {
   EXPECT_NE(os.str().find("\"gauges\""), std::string::npos);
 }
 
-// ---- dse::ProfileCache capacity bound ---------------------------------
+// ---- dse::ProfileCache ------------------------------------------------
 
 TEST(ProfileCache, UnboundedByDefault) {
   dse::ProfileCache cache;
-  EXPECT_EQ(cache.capacity(), 0u);
   for (std::uint64_t i = 0; i < 100; ++i) {
     cache.store(i, 1, 2, {1.0, 2.0});
   }
   EXPECT_EQ(cache.size(), 100u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-TEST(ProfileCache, CapacityEvictsOnNewKeysOnly) {
-  dse::ProfileCache cache;
-  cache.set_capacity(4);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    cache.store(i, 1, 2, {static_cast<double>(i), 0.0});
-  }
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-
-  // Overwriting a resident key must not evict.
-  cache.store(2, 1, 2, {99.0, 0.0});
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  const auto hit = cache.lookup(2, 1, 2);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->t_us, 99.0);
-
-  // A new key at capacity evicts exactly one entry.
-  cache.store(1000, 1, 2, {7.0, 0.0});
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  ASSERT_TRUE(cache.lookup(1000, 1, 2).has_value());
 }
 
 // ---- util::ThreadPool stats -------------------------------------------

@@ -125,9 +125,10 @@ TEST(Pipeline, InfeasibleBudgetFallsBackToBaseline) {
 }
 
 TEST(Pipeline, FastDefaultsEmitIdenticalSchedulesAcrossTheZoo) {
-  // The flipped defaults (freq_replay + prefilter + whole-schedule-replay
-  // repair) must produce exactly the schedule the exact_simulation escape
-  // hatch produces, for every evaluation model at the paper design space.
+  // The flipped defaults (freq_replay + whole-schedule-replay repair) must
+  // produce exactly the schedule the exact_simulation escape hatch
+  // produces, for every evaluation model at the paper design space, from
+  // the same exhaustive candidate sets.
   for (const graph::Model& m : graph::zoo::make_evaluation_suite()) {
     PipelineConfig cfg;
     cfg.qos_slack = 0.3;
@@ -144,6 +145,19 @@ TEST(Pipeline, FastDefaultsEmitIdenticalSchedulesAcrossTheZoo) {
         << m.name() << ": fast defaults changed the emitted schedule";
     EXPECT_LT(fast.explore_stats.profiled, exact.explore_stats.profiled)
         << m.name() << ": fast path did not actually avoid simulations";
+    // Both paths evaluate every candidate of every layer, each exactly one
+    // way (simulated, replayed or served from the memo).
+    ASSERT_EQ(fast.dse.size(), exact.dse.size()) << m.name();
+    for (std::size_t k = 0; k < fast.dse.size(); ++k) {
+      EXPECT_EQ(fast.dse[k].all.size(), exact.dse[k].all.size())
+          << m.name() << " layer " << k;
+    }
+    for (const dse::ExploreStats& st :
+         {fast.explore_stats, exact.explore_stats}) {
+      EXPECT_EQ(st.profiled + st.replayed + st.cache_hits,
+                st.total_candidates)
+          << m.name();
+    }
     // Replay-backed repair must not spend more simulations than swaps + 1;
     // the exact path spends one per measurement.
     EXPECT_LE(fast.repair_simulations, fast.repair_iterations + 1)
