@@ -11,6 +11,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "dse/profile_cache.hpp"
 #include "graph/zoo.hpp"
 
 using namespace daedvfs;
@@ -27,10 +28,13 @@ int main() {
   std::cout << core::csv_header() << "\n";
   for (const graph::Model& model : graph::zoo::make_evaluation_suite()) {
     // The DSE (step 2) is QoS-independent: explore once per model, reuse
-    // across the three QoS levels (as the paper's methodology does).
+    // across the three QoS levels (as the paper's methodology does). One
+    // ProfileCache per model also simulates each distinct schedule once.
+    dse::ProfileCache cache;
     core::PipelineConfig cfg;
     cfg.space =
         dse::make_paper_design_space(power::PowerModel{cfg.explore.sim.power});
+    cfg.explore.cache = &cache;
     std::vector<dse::LayerSolutionSet> dse_cache;
 
     for (double slack : slacks) {

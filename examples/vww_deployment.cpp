@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "core/pipeline.hpp"
+#include "dse/profile_cache.hpp"
 #include "graph/zoo.hpp"
 #include "power/battery.hpp"
 
@@ -24,9 +25,13 @@ int main() {
   const power::BatteryModel battery;  // ~2.4 Wh budget at the rail
   const power::DutyCycle duty{30.0, 0.8};
 
+  // One cache across the sweep: profiles, and each distinct schedule's
+  // simulation, are computed once.
+  dse::ProfileCache cache;
   core::PipelineConfig cfg;
   cfg.space =
       dse::make_paper_design_space(power::PowerModel{cfg.explore.sim.power});
+  cfg.explore.cache = &cache;
 
   std::cout << "QoS     engine              E/window(mJ)  battery life\n";
   std::cout << std::fixed;

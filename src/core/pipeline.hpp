@@ -116,13 +116,19 @@ struct PipelineResult {
   /// Step 2 accounting (zeroed when the run reused a caller's DSE).
   dse::ExploreStats explore_stats;
   /// QoS-repair accounting: greedy swaps applied; full-model simulations
-  /// spent measuring them (exactly 1 — the initial recording — on the
-  /// replay path; 1 + #swaps with exact_simulation); and single-layer
+  /// spent measuring them (at most 1 — the initial recording, skipped when
+  /// the run memo already holds a schedule that meets QoS — on the replay
+  /// path; 1 + #swaps with exact_simulation); and single-layer
   /// re-records spent patching the recording after granularity-changing
   /// swaps (replay path only — granularity moves no longer re-simulate).
   int repair_iterations = 0;
   int repair_simulations = 0;
   int repair_layer_recordings = 0;
+  /// Full-model simulations this run performed: the TinyEngine run, the
+  /// repair recordings and the DAE evaluation, less every one the run memo
+  /// (`explore.cache`, or a run-local memo) already held. A 3-slack sweep
+  /// sharing one cache simulates each distinct schedule once.
+  int full_sims = 0;
 
   IsoLatencyComparison comparison;  ///< Measured, iso-latency scenario.
 };
@@ -132,7 +138,8 @@ class Pipeline {
   explicit Pipeline(PipelineConfig cfg) : cfg_(std::move(cfg)) {}
 
   /// Runs steps 1-3 + evaluation for one model. `reuse_dse` (optional)
-  /// skips re-exploration when sweeping QoS levels for the same model.
+  /// skips re-exploration when sweeping QoS levels for the same model; set
+  /// `explore.cache` to share profiles and simulated runs across the sweep.
   [[nodiscard]] PipelineResult run(
       const graph::Model& model,
       const std::vector<dse::LayerSolutionSet>* reuse_dse = nullptr) const;

@@ -132,12 +132,28 @@ void ScheduleBuilder::repair(const std::vector<dse::LayerSolutionSet>& dse,
       cfg_.explore.sink != nullptr ? cfg_.explore.sink->trace : nullptr;
   const double repair_start_us = tr != nullptr ? obs::host_now_us() : 0.0;
   const sim::SimParams& sim = cfg_.explore.sim;
-  dse::ScheduleLedger ledger =
-      dse::record_schedule(engine_, bs.schedule, sim);
-  bs.repair_simulations = 1;
+  dse::ProfileCache* const memo = cfg_.explore.cache;
   bs.measured = true;
-  double t = ledger.recorded_t_us;
-  double e = ledger.recorded_e_uj;
+
+  // A memoized run that already meets QoS is the whole measurement (the
+  // loop below stops before its first swap); otherwise record, and keep
+  // the recording's end state in the memo.
+  const std::uint64_t key =
+      memo != nullptr ? dse::run_key(engine_, bs.schedule, sim) : 0;
+  const sim::Mcu* const hit = memo != nullptr ? memo->find_run(key) : nullptr;
+  dse::ScheduleLedger ledger;
+  double t = 0.0;
+  double e = 0.0;
+  if (hit != nullptr && hit->time_us() <= qos_us) {
+    t = hit->time_us();
+    e = hit->energy_uj();
+  } else {
+    ledger = dse::record_schedule(engine_, bs.schedule, sim);
+    bs.repair_simulations = 1;
+    if (memo != nullptr && hit == nullptr) memo->store_run(key, ledger.end);
+    t = ledger.end.time_us();
+    e = ledger.end.energy_uj();
+  }
 
   for (int iter = 0; t > qos_us && iter < cfg_.max_repair_iterations;
        ++iter) {
@@ -178,8 +194,11 @@ void ScheduleBuilder::repair(const std::vector<dse::LayerSolutionSet>& dse,
     } else {
       ledger = dse::record_schedule(engine_, bs.schedule, sim);
       ++bs.repair_simulations;
-      t = ledger.recorded_t_us;
-      e = ledger.recorded_e_uj;
+      if (memo != nullptr) {
+        memo->store_run(dse::run_key(engine_, bs.schedule, sim), ledger.end);
+      }
+      t = ledger.end.time_us();
+      e = ledger.end.energy_uj();
     }
   }
   bs.measured_t_us = t;
@@ -192,11 +211,26 @@ void ScheduleBuilder::repair(const std::vector<dse::LayerSolutionSet>& dse,
   }
 }
 
+sim::Mcu measure_schedule(dse::ProfileCache* memo,
+                          const runtime::InferenceEngine& engine,
+                          const runtime::Schedule& schedule,
+                          const sim::SimParams& sim, int& sims) {
+  const std::uint64_t key =
+      memo != nullptr ? dse::run_key(engine, schedule, sim) : 0;
+  if (memo != nullptr) {
+    if (const sim::Mcu* hit = memo->find_run(key)) return *hit;
+  }
+  sim::Mcu end = runtime::simulate_schedule(engine, schedule, sim);
+  ++sims;
+  if (memo != nullptr) memo->store_run(key, end);
+  return end;
+}
+
 double tinyengine_baseline_us(const runtime::InferenceEngine& engine,
                               const sim::SimParams& sim) {
-  const runtime::Schedule te =
-      runtime::make_tinyengine_schedule(engine.model());
-  return dse::record_schedule(engine, te, sim).recorded_t_us;
+  return runtime::simulate_schedule(
+             engine, runtime::make_tinyengine_schedule(engine.model()), sim)
+      .time_us();
 }
 
 }  // namespace daedvfs::core

@@ -16,6 +16,12 @@
 // recording simulation serves the whole loop. PipelineConfig::
 // exact_simulation forces a fresh simulation per measurement instead; both
 // paths produce identical schedules (pinned in tests).
+//
+// Whole-schedule simulations go through the run memo of
+// `PipelineConfig::explore.cache` when one is set (dse/profile_cache.hpp):
+// the repair loop looks its schedule up first and records nothing when the
+// memoized run already meets QoS, and stores what it records, so the
+// caller's evaluation of an unrepaired schedule is a memo hit.
 #pragma once
 
 #include "core/pipeline.hpp"
@@ -34,7 +40,10 @@ struct BuiltSchedule {
   double measured_t_us = 0.0;       ///< Full-schedule measurement, including
   double measured_e_uj = 0.0;       ///< inter-layer switch costs.
   int repair_iterations = 0;
-  int repair_simulations = 0;       ///< Full simulations spent measuring.
+  /// Full simulations spent measuring: 0 when the run memo already held a
+  /// schedule that meets QoS, else 1 on the replay path (1 + #swaps with
+  /// exact_simulation).
+  int repair_simulations = 0;
   /// Single-layer recordings spent patching the schedule ledger after
   /// granularity-changing swaps (replay path only; each is ~1/num_layers of
   /// a full simulation).
@@ -82,6 +91,15 @@ class ScheduleBuilder {
   const runtime::InferenceEngine& engine_;
   const PipelineConfig& cfg_;
 };
+
+/// Post-inference state of `schedule` on `engine` (runtime::
+/// simulate_schedule): served from `memo`'s run memo when it holds the run,
+/// else simulated, counted in `sims` and stored. A null `memo` always
+/// simulates.
+[[nodiscard]] sim::Mcu measure_schedule(dse::ProfileCache* memo,
+                                        const runtime::InferenceEngine& engine,
+                                        const runtime::Schedule& schedule,
+                                        const sim::SimParams& sim, int& sims);
 
 /// TinyEngine-at-216 MHz inference latency — the QoS reference (§IV).
 [[nodiscard]] double tinyengine_baseline_us(

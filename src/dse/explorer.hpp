@@ -70,7 +70,8 @@ struct ExploreOptions {
   /// bitwise equal to profiling every layer individually.
   bool memoize = true;
   /// Share profiles across explore_model calls (e.g. QoS sweeps over the
-  /// same model). nullptr = a fresh per-call cache.
+  /// same model). nullptr = a fresh per-call cache. core::Pipeline and the
+  /// governor also keep their whole-schedule runs in it (the run memo).
   ProfileCache* cache = nullptr;
   /// Frequency replay (requires memoize): simulate each (layer signature,
   /// granularity) pair once while recording a sim::WorkLedger, then evaluate

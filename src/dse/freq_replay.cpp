@@ -5,6 +5,7 @@
 #include "clock/switch_model.hpp"
 #include "clock/voltage.hpp"
 #include "power/power_model.hpp"
+#include "runtime/baseline.hpp"
 #include "sim/memory_model.hpp"
 
 namespace daedvfs::dse {
@@ -136,15 +137,9 @@ ProfileEntry replay_profile(const sim::WorkLedger& ledger,
 ScheduleLedger record_schedule(const runtime::InferenceEngine& engine,
                                const runtime::Schedule& schedule,
                                const sim::SimParams& sim) {
-  ScheduleLedger led;
-  if (schedule.plans.empty()) return led;
-
-  // Fresh Mcu booted at the first layer's HFO — the same timeline the
-  // pipeline's schedule measurement uses, so the recorded totals are bitwise
-  // equal to InferenceEngine::run on that Mcu.
-  sim::SimParams params = sim;
-  params.boot = schedule.plans.front().hfo;
-  sim::Mcu mcu(params);
+  // The fresh timeline every whole-schedule measurement starts from.
+  ScheduleLedger led{{}, {}, runtime::schedule_mcu(schedule, sim)};
+  sim::Mcu& mcu = led.end;
 
   led.layers.resize(schedule.plans.size());
   led.entry_caches.reserve(schedule.plans.size());
@@ -165,8 +160,6 @@ ScheduleLedger record_schedule(const runtime::InferenceEngine& engine,
                            kernels::ExecMode::kTiming);
     mcu.set_ledger(nullptr);
   }
-  led.recorded_t_us = mcu.time_us();
-  led.recorded_e_uj = mcu.energy_uj();
   return led;
 }
 

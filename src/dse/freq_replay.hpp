@@ -80,13 +80,15 @@ struct ScheduleLedger {
   /// (addresses and order are frequency-independent), so a variant recorded
   /// from the image is bitwise the stream of a full re-simulation.
   std::vector<sim::CacheSim> entry_caches;
-  /// Exact simulated totals of the recorded schedule (bitwise equal to
-  /// running runtime::InferenceEngine::run on a fresh Mcu booted at the
-  /// schedule's first-layer HFO — the measurement the repair loop uses).
-  /// Describes the *original* recording; granularity patches do not update
-  /// these (callers re-measure via replay_schedule).
-  double recorded_t_us = 0.0;
-  double recorded_e_uj = 0.0;
+  /// Post-inference state of the recording. Its time, energy, clock and
+  /// cache state are bitwise runtime::simulate_schedule's — the layer-entry
+  /// switches run outside the ledgers but on the same timeline; only their
+  /// per-tag energy attribution differs — so time_us()/energy_uj() are the
+  /// schedule's exact simulated totals and the state can seed a run memo or
+  /// close an iso-latency window. Describes the *original* recording;
+  /// granularity patches do not update it (callers re-measure via
+  /// replay_schedule).
+  sim::Mcu end;
 };
 
 /// Simulates `schedule` once on a fresh Mcu (booted at the first layer's
@@ -111,8 +113,8 @@ struct ScheduleLedger {
 /// unchanged (streaming kernels evict inherited lines fast, so this
 /// typically converges within a couple of layers). Returns the number of
 /// single-layer recordings performed (0 when already compatible). Layer
-/// records and entry images are updated in place; recorded_t_us/e_uj keep
-/// describing the original recording. Throws std::invalid_argument on a
+/// records and entry images are updated in place; `end` keeps describing
+/// the original recording. Throws std::invalid_argument on a
 /// layer-count mismatch.
 int patch_recorded_granularity(ScheduleLedger& ledger,
                                const runtime::InferenceEngine& engine,

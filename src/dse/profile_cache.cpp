@@ -60,6 +60,42 @@ std::uint64_t candidate_hash(int granularity, bool dvfs_enabled,
   return h.value();
 }
 
+std::uint64_t engine_fingerprint(const runtime::InferenceEngine& engine) {
+  const graph::Model& model = engine.model();
+  StructHash h;
+  for (int id = 0; id <= model.num_layers(); ++id) {
+    add_shape(h, model.tensor_shape(id));
+    h.add(engine.tensor_ref(id).mem.vaddr);
+  }
+  for (const graph::LayerSpec& layer : model.layers()) {
+    h.add(static_cast<int>(layer.kind));
+    h.add(static_cast<int>(layer.inputs.size()));
+    for (const int in_id : layer.inputs) h.add(in_id);
+    add_shape(h, layer.weights.shape());
+    h.add(layer.params.stride);
+    h.add(layer.params.pad);
+    h.add(!layer.bias.empty());
+    h.add(layer.weight_vaddr);
+    h.add(layer.bias_vaddr);
+  }
+  h.add(engine.scratch_mem().vaddr);
+  h.add(static_cast<int>(engine.scratch_mem().region));
+  return h.value();
+}
+
+std::uint64_t run_key(const runtime::InferenceEngine& engine,
+                      const runtime::Schedule& schedule,
+                      const sim::SimParams& sim) {
+  StructHash h;
+  h.add(engine_fingerprint(engine));
+  h.add(static_cast<std::uint64_t>(schedule.plans.size()));
+  for (const runtime::LayerPlan& p : schedule.plans) {
+    h.add(candidate_hash(p.granularity, p.dvfs_enabled, p.hfo, p.lfo));
+  }
+  h.add(sim_fingerprint(sim));
+  return h.value();
+}
+
 std::uint64_t sim_fingerprint(const sim::SimParams& p) {
   StructHash h;
   h.add(static_cast<std::uint64_t>(p.cache.size_bytes));

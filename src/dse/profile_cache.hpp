@@ -17,6 +17,13 @@
 // everything placement-relevant the canonical profiler derives from the
 // signature (shapes fix the canonical addresses) plus the candidate's full
 // clocking configuration and the simulator parameterization fingerprint.
+//
+// The same cache also memoizes whole-schedule simulations (the run memo):
+// run_key → the post-inference sim::Mcu of runtime::simulate_schedule. A
+// QoS sweep measures the TinyEngine schedule once per model instead of once
+// per slack and engine, and each emitted schedule once instead of once in
+// the repair loop and again in the iso-latency evaluation. Runs are
+// deterministic, so a hit is bitwise the simulation it replaces.
 #pragma once
 
 #include <atomic>
@@ -27,6 +34,8 @@
 #include "clock/clock_config.hpp"
 #include "graph/layer.hpp"
 #include "graph/model.hpp"
+#include "runtime/engine.hpp"
+#include "runtime/schedule.hpp"
 #include "sim/mcu.hpp"
 
 namespace daedvfs::dse {
@@ -66,16 +75,35 @@ class StructHash {
 /// candidate hash already covers.
 [[nodiscard]] std::uint64_t sim_fingerprint(const sim::SimParams& params);
 
+/// Structural fingerprint of an engine: everything an in-situ Timing run
+/// depends on besides the schedule and SimParams — layer kinds, shapes,
+/// stride/pad and bias presence, tensor wiring and simulated arena
+/// addresses, weight/bias flash placement and the DAE scratch placement.
+/// Weight values and quantization parameters are excluded (they never move
+/// a simulated cost, as for layer_signature), and so is object identity:
+/// two engines over equally built models fingerprint equal.
+[[nodiscard]] std::uint64_t engine_fingerprint(
+    const runtime::InferenceEngine& engine);
+
+/// Run-memo key of one whole-schedule simulation: engine fingerprint, every
+/// layer plan (which also fixes the boot clock, the first plan's HFO) and
+/// the simulator fingerprint.
+[[nodiscard]] std::uint64_t run_key(const runtime::InferenceEngine& engine,
+                                    const runtime::Schedule& schedule,
+                                    const sim::SimParams& sim);
+
 /// (time, energy) of one profiled candidate.
 struct ProfileEntry {
   double t_us = 0.0;
   double energy_uj = 0.0;
 };
 
-/// Memo table keyed by (layer signature, candidate, sim fingerprint).
-/// The map itself is not internally synchronized: explore_model fills it
-/// from the coordinating thread only; share one instance across explore
-/// calls via ExploreOptions::cache to reuse profiles between models/QoS
+/// Memo tables: profiles keyed by (layer signature, candidate, sim
+/// fingerprint), and whole-schedule runs keyed by run_key.
+/// The maps themselves are not internally synchronized: explore_model and
+/// the schedule measurements (core::measure_schedule) fill them from the
+/// coordinating thread only; share one instance across explore calls via
+/// ExploreOptions::cache to reuse profiles and runs between models/QoS
 /// sweeps. Once filled, concurrent *readers* are safe — lookup() on a
 /// quiescent map is a const hash-table find, and the hit/miss counters are
 /// atomics (relaxed: they are observability, never an input to anything
@@ -119,8 +147,20 @@ class ProfileCache {
     s.misses = misses_.load(std::memory_order_relaxed);
     return s;
   }
+  /// Profiles held (the run memo is counted by runs()).
   [[nodiscard]] std::size_t size() const { return map_.size(); }
-  void clear() { map_.clear(); }
+
+  /// Post-inference state of the run under `key`, or nullptr. The pointer
+  /// stays valid for the cache's lifetime.
+  [[nodiscard]] const sim::Mcu* find_run(std::uint64_t key) const {
+    const auto it = runs_.find(key);
+    return it == runs_.end() ? nullptr : &it->second;
+  }
+  void store_run(std::uint64_t key, const sim::Mcu& end) {
+    runs_.insert_or_assign(key, end);
+  }
+  /// Distinct whole-schedule runs held.
+  [[nodiscard]] std::size_t runs() const { return runs_.size(); }
 
  private:
   static std::uint64_t key_of(std::uint64_t sig, std::uint64_t cand,
@@ -133,6 +173,7 @@ class ProfileCache {
   }
 
   std::unordered_map<std::uint64_t, ProfileEntry> map_;
+  std::unordered_map<std::uint64_t, sim::Mcu> runs_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
 };

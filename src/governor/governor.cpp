@@ -7,7 +7,7 @@
 #include <string>
 
 #include "core/schedule_builder.hpp"
-#include "dse/freq_replay.hpp"
+#include "dse/profile_cache.hpp"
 #include "scenario/engine.hpp"
 
 namespace daedvfs::governor {
@@ -33,9 +33,18 @@ ScheduleGovernor::ScheduleGovernor(const graph::Model& model,
     : scenario::LadderPolicy(cfg.pipeline.explore.sim.switching,
                              cfg.pipeline.explore.sim.power, cfg.predictive),
       cfg_(std::move(cfg)) {
-  const core::PipelineConfig& pc = cfg_.pipeline;
-  runtime::InferenceEngine engine(model);
-  t_base_us_ = core::tinyengine_baseline_us(engine, pc.explore.sim);
+  // Whole-schedule runs go through one run memo — the shared cache when
+  // set (a second governor over the same model then reuses this one's
+  // TinyEngine run and identical rungs), else a ladder-local one.
+  dse::ProfileCache ladder_local;
+  core::PipelineConfig pc = cfg_.pipeline;
+  if (pc.explore.cache == nullptr) pc.explore.cache = &ladder_local;
+  const runtime::InferenceEngine engine(model);
+  int sims = 0;
+  t_base_us_ = core::measure_schedule(pc.explore.cache, engine,
+                                      runtime::make_tinyengine_schedule(model),
+                                      pc.explore.sim, sims)
+                   .time_us();
 
   // One exploration serves every rung (optionally warm via a shared
   // ProfileCache from pc.explore.cache).
@@ -72,11 +81,11 @@ ScheduleGovernor::ScheduleGovernor(const graph::Model& model,
     if (!built.feasible) continue;
     if (!built.measured) {
       // Repair disabled (max_repair_iterations == 0): rungs still need
-      // measured latency/energy — record the schedule once.
-      const dse::ScheduleLedger led =
-          dse::record_schedule(engine, built.schedule, pc.explore.sim);
-      built.measured_t_us = led.recorded_t_us;
-      built.measured_e_uj = led.recorded_e_uj;
+      // measured latency/energy.
+      const sim::Mcu end = core::measure_schedule(
+          pc.explore.cache, engine, built.schedule, pc.explore.sim, sims);
+      built.measured_t_us = end.time_us();
+      built.measured_e_uj = end.energy_uj();
       built.measured = true;
     }
     const bool duplicate =

@@ -48,7 +48,8 @@ struct GovernorConfig {
   /// Shared pipeline parameterization (design space, simulator, MCKP ticks,
   /// repair budget, exact_simulation escape hatch). `qos_slack` is ignored —
   /// the ladder supplies its own. Set `explore.cache` to share one
-  /// dse::ProfileCache across governors/pipelines of an evaluation suite.
+  /// dse::ProfileCache — profiles and simulated schedule runs — across
+  /// governors/pipelines of an evaluation suite.
   core::PipelineConfig pipeline;
   /// Predictive PLL pre-lock during sleep (see file comment). Off by
   /// default: the reactive governor is the PR 2 baseline the benches

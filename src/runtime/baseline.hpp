@@ -6,6 +6,10 @@
 //                          inference until the QoS deadline.
 //  * TinyEngine + gating — same execution, but idles with clocks gated and
 //                          the regulator trimmed.
+//
+// The window is a pure function of the post-inference MCU state
+// (iso_window), so one simulated inference serves both idle policies: idle
+// two copies of the same end state.
 #pragma once
 
 #include "runtime/engine.hpp"
@@ -28,14 +32,33 @@ struct IsoLatencyResult {
   double idle_us = 0.0;
   double idle_uj = 0.0;
   bool met_qos = true;  ///< False if the inference overran the window.
-  InferenceResult inference;
 
   [[nodiscard]] double total_uj() const { return inference_uj + idle_uj; }
 };
 
-/// Runs one inference under `schedule` on a fresh timeline of `mcu`, then
-/// idles (`gated_idle` selects clock-gated idle) until `qos_us` has elapsed
-/// since the start of the inference.
+/// The fresh Mcu every whole-schedule measurement starts from: `sim` booted
+/// at the schedule's first-layer HFO (at `sim.boot` for an empty schedule).
+[[nodiscard]] sim::Mcu schedule_mcu(const Schedule& schedule,
+                                    const sim::SimParams& sim);
+
+/// Runs one Timing-mode inference of `schedule` on schedule_mcu and returns
+/// the post-inference state: time_us()/energy_uj() are the schedule's
+/// measured latency/energy, and iso_window closes a QoS window over it.
+[[nodiscard]] sim::Mcu simulate_schedule(const InferenceEngine& engine,
+                                         const Schedule& schedule,
+                                         const sim::SimParams& sim);
+
+/// Closes the iso-latency window over `end`, the state after one inference
+/// that started at t = 0 on a fresh timeline (e.g. simulate_schedule's
+/// result): idles `end` (clock-gated when `gated_idle`) until `qos_us`.
+/// `end` is taken by value, so copies of one end state yield both idle
+/// policies from one simulation.
+[[nodiscard]] IsoLatencyResult iso_window(sim::Mcu end, double qos_us,
+                                          bool gated_idle);
+
+/// Runs one inference under `schedule` on `mcu`, then idles (`gated_idle`
+/// selects clock-gated idle) until `qos_us` has elapsed since the start of
+/// the inference — engine.run followed by the iso_window arithmetic.
 IsoLatencyResult run_iso_latency(InferenceEngine& engine, sim::Mcu& mcu,
                                  const Schedule& schedule, double qos_us,
                                  bool gated_idle,

@@ -219,7 +219,7 @@ LayerProfile InferenceEngine::run_layer_in(sim::Mcu& mcu, int layer_idx,
 
 InferenceResult InferenceEngine::run(sim::Mcu& mcu, const Schedule& schedule,
                                      kernels::ExecMode mode,
-                                     std::span<const int8_t> input) {
+                                     std::span<const int8_t> input) const {
   if (schedule.plans.size() != static_cast<std::size_t>(model_.num_layers())) {
     throw std::invalid_argument("schedule size != layer count");
   }

@@ -75,9 +75,10 @@ class InferenceEngine {
 
   /// Runs a full inference. `input` (optional) must match the model input
   /// size; zeros are used when omitted (Timing mode never reads data).
+  /// Like run_layer, Full mode writes the shared activation buffers.
   InferenceResult run(sim::Mcu& mcu, const Schedule& schedule,
                       kernels::ExecMode mode,
-                      std::span<const int8_t> input = {});
+                      std::span<const int8_t> input = {}) const;
 
   /// Runs a single layer in isolation under `plan` — the unit of the
   /// paper's per-layer DSE (§III-B). Input activations are whatever the
@@ -90,6 +91,8 @@ class InferenceEngine {
                          kernels::ExecMode mode) const;
 
   [[nodiscard]] const graph::Model& model() const { return model_; }
+  /// Where the DAE gather buffer lives (see place_scratch).
+  [[nodiscard]] const sim::MemRef& scratch_mem() const { return scratch_mem_; }
 
   /// Places the DAE gather buffer in a different memory (default: cached AXI
   /// SRAM). `kDtcm` models the real-firmware option of putting the buffer in

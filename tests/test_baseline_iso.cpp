@@ -1,6 +1,8 @@
 // Tests for the iso-latency evaluation scenario and the TinyEngine baselines.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/builder.hpp"
 #include "runtime/baseline.hpp"
 
@@ -78,6 +80,44 @@ TEST(IsoLatency, EnergySplitsAddUp) {
   const auto r = run_iso_latency(engine, mcu, make_tinyengine_schedule(m),
                                  20'000.0, true, kernels::ExecMode::kTiming);
   EXPECT_NEAR(r.total_uj(), mcu.energy_uj(), 1e-6);
+}
+
+void expect_same_window(const IsoLatencyResult& a, const IsoLatencyResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.inference_us, b.inference_us) << what;
+  EXPECT_EQ(a.inference_uj, b.inference_uj) << what;
+  EXPECT_EQ(a.idle_us, b.idle_us) << what;
+  EXPECT_EQ(a.idle_uj, b.idle_uj) << what;
+  EXPECT_EQ(a.met_qos, b.met_qos) << what;
+}
+
+// The iso window is a pure function of the post-inference state: idling
+// copies of ONE simulated inference gives, bit for bit, what a fresh
+// run_iso_latency per idle policy gives — for TinyEngine and for a DVFS
+// schedule booting at another clock, inside and past the window.
+TEST(IsoLatency, OneInferenceServesBothIdlePolicies) {
+  const graph::Model m = tiny_model();
+  const sim::SimParams params;
+  Schedule dvfs = make_tinyengine_schedule(m);
+  dvfs.name = "dvfs";
+  dvfs.plans[0].hfo = clock::ClockConfig::hse_direct(50.0);
+  dvfs.plans[1].granularity = 4;
+  dvfs.plans[1].dvfs_enabled = true;
+
+  for (const Schedule& s : {make_tinyengine_schedule(m), dvfs}) {
+    const sim::Mcu end = simulate_schedule(InferenceEngine(m), s, params);
+    for (double qos : {50'000.0, 1.0}) {
+      for (bool gated : {false, true}) {
+        InferenceEngine engine(m);
+        sim::Mcu mcu = schedule_mcu(s, params);
+        const IsoLatencyResult fresh = run_iso_latency(
+            engine, mcu, s, qos, gated, kernels::ExecMode::kTiming);
+        expect_same_window(iso_window(end, qos, gated), fresh,
+                           s.name + " qos " + std::to_string(qos) +
+                               (gated ? " gated" : " plain"));
+      }
+    }
+  }
 }
 
 }  // namespace

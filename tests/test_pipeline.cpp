@@ -2,7 +2,10 @@
 // satisfaction, baseline comparisons, QoS sweep behaviour, reporting.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -187,6 +190,65 @@ TEST(Pipeline, SharedProfileCacheServesRepeatRunsEntirely) {
   PipelineConfig cold_cfg = make_config(0.5);
   const PipelineResult cold = Pipeline(cold_cfg).run(m);
   EXPECT_TRUE(runtime::plans_identical(second.schedule, cold.schedule));
+}
+
+void expect_same_window(const runtime::IsoLatencyResult& a,
+                        const runtime::IsoLatencyResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.inference_us, b.inference_us) << what;
+  EXPECT_EQ(a.inference_uj, b.inference_uj) << what;
+  EXPECT_EQ(a.idle_us, b.idle_us) << what;
+  EXPECT_EQ(a.idle_uj, b.idle_uj) << what;
+  EXPECT_EQ(a.met_qos, b.met_qos) << what;
+}
+
+// A QoS sweep sharing one cache simulates each distinct schedule once: the
+// TinyEngine run serves t_base and both TinyEngine windows at every slack,
+// the repair recording is the DAE evaluation when the repair made no swaps,
+// and MBV2 emits the same schedule at 0.30 and 0.50 (its repair then
+// records nothing). Memo hits are the simulations they replace, so every
+// point equals a cache-less run bit for bit.
+TEST(Pipeline, SweepSimulatesEachDistinctScheduleOnce) {
+  const std::map<std::string, int> expected_sims = {
+      {"VWW", 4}, {"PD", 4}, {"MBV2", 3}};
+  for (const graph::Model& m : graph::zoo::make_evaluation_suite()) {
+    PipelineConfig cfg;
+    cfg.space = dse::make_paper_design_space(
+        power::PowerModel{cfg.explore.sim.power});
+    dse::ProfileCache cache;
+    PipelineConfig shared = cfg;
+    shared.explore.cache = &cache;
+
+    std::vector<dse::LayerSolutionSet> sets;
+    int sims = 0;
+    for (double slack : {0.10, 0.30, 0.50}) {
+      shared.qos_slack = slack;
+      cfg.qos_slack = slack;
+      const PipelineResult r =
+          Pipeline(shared).run(m, sets.empty() ? nullptr : &sets);
+      if (sets.empty()) sets = r.dse;
+      const PipelineResult ref = Pipeline(cfg).run(m, &sets);
+      sims += r.full_sims;
+
+      const std::string at = m.name() + " slack " + std::to_string(slack);
+      EXPECT_TRUE(runtime::plans_identical(r.schedule, ref.schedule)) << at;
+      EXPECT_EQ(r.mckp_feasible, ref.mckp_feasible) << at;
+      EXPECT_EQ(r.fell_back_to_baseline, ref.fell_back_to_baseline) << at;
+      EXPECT_EQ(r.t_base_us, ref.t_base_us) << at;
+      EXPECT_EQ(r.qos_us, ref.qos_us) << at;
+      expect_same_window(r.comparison.tinyengine, ref.comparison.tinyengine,
+                         at + " tinyengine");
+      expect_same_window(r.comparison.tinyengine_gated,
+                         ref.comparison.tinyengine_gated, at + " gated");
+      expect_same_window(r.comparison.dae_dvfs, ref.comparison.dae_dvfs,
+                         at + " dae");
+      // Alone, a run simulates TinyEngine, records its schedule and
+      // evaluates it — the evaluation is free when the repair made no swaps.
+      EXPECT_EQ(ref.full_sims, ref.repair_iterations > 0 ? 3 : 2) << at;
+    }
+    EXPECT_EQ(sims, expected_sims.at(m.name())) << m.name();
+    EXPECT_EQ(cache.runs(), static_cast<std::size_t>(sims)) << m.name();
+  }
 }
 
 TEST(Report, SummaryAndCsvContainKeyFields) {

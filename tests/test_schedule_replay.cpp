@@ -6,14 +6,18 @@
 // sees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <random>
+#include <vector>
 
 #include "core/schedule_builder.hpp"
 #include "dse/design_space.hpp"
 #include "dse/freq_replay.hpp"
 #include "graph/builder.hpp"
 #include "graph/zoo.hpp"
+#include "runtime/baseline.hpp"
 
 namespace daedvfs::dse {
 namespace {
@@ -84,10 +88,122 @@ TEST(ScheduleReplay, RecordingIsBitwiseEqualToEngineRun) {
     sim::Mcu mcu(params);
     const runtime::InferenceResult direct =
         engine.run(mcu, sched, kernels::ExecMode::kTiming);
-    EXPECT_DOUBLE_EQ(led.recorded_t_us, direct.total_us) << "rep " << rep;
-    EXPECT_DOUBLE_EQ(led.recorded_e_uj, direct.total_energy_uj)
-        << "rep " << rep;
+    EXPECT_EQ(led.end.time_us(), direct.total_us) << "rep " << rep;
+    EXPECT_EQ(led.end.energy_uj(), direct.total_energy_uj) << "rep " << rep;
+
+    // The whole end state matches, so a recording can seed the run memo
+    // and close an iso-latency window in place of a fresh simulation.
+    const sim::Mcu end = runtime::simulate_schedule(engine, sched, sim);
+    EXPECT_EQ(led.end.time_us(), end.time_us()) << "rep " << rep;
+    EXPECT_EQ(led.end.energy_uj(), end.energy_uj()) << "rep " << rep;
+    EXPECT_TRUE(led.end.rcc().current() == end.rcc().current());
+    EXPECT_EQ(led.end.cache().state_fingerprint(),
+              end.cache().state_fingerprint());
+    for (bool gated : {false, true}) {
+      const runtime::IsoLatencyResult a =
+          runtime::iso_window(led.end, 2.0 * end.time_us(), gated);
+      const runtime::IsoLatencyResult b =
+          runtime::iso_window(end, 2.0 * end.time_us(), gated);
+      EXPECT_EQ(a.total_uj(), b.total_uj()) << "rep " << rep;
+      EXPECT_EQ(a.idle_us, b.idle_us) << "rep " << rep;
+    }
   }
+}
+
+// The run-memo key is structural: equally built engines share it whatever
+// their weights, while anything that moves a simulated cost — the DAE
+// scratch placement, the model, any SimParams field — separates it. The
+// boot clock is not part of SimParams' share of the key, because every
+// whole-schedule run boots at its first plan's HFO.
+TEST(RunMemo, KeyIsStructural) {
+  const sim::SimParams sim;
+  const graph::Model vww_a = graph::zoo::make_vww(1);
+  const graph::Model vww_b = graph::zoo::make_vww(2);
+  const tensor::QTensor& wa = vww_a.layers()[0].weights;
+  const tensor::QTensor& wb = vww_b.layers()[0].weights;
+  ASSERT_FALSE(std::equal(wa.data(), wa.data() + wa.shape().elems(),
+                          wb.data()))
+      << "the two seeds must draw different weights";
+  const runtime::InferenceEngine a(vww_a);
+  const runtime::InferenceEngine b(vww_b);
+
+  // Every DAE-eligible layer decoupled, so the gather buffer is on the
+  // simulated path.
+  runtime::Schedule dae = runtime::make_tinyengine_schedule(vww_a);
+  for (runtime::LayerPlan& p : dae.plans) p.granularity = 4;
+
+  // Two weight seeds: one key, and a memo hit with no new simulation.
+  EXPECT_EQ(run_key(a, dae, sim), run_key(b, dae, sim));
+  ProfileCache memo;
+  int sims = 0;
+  const sim::Mcu first = core::measure_schedule(&memo, a, dae, sim, sims);
+  const sim::Mcu again = core::measure_schedule(&memo, b, dae, sim, sims);
+  EXPECT_EQ(sims, 1);
+  EXPECT_EQ(memo.runs(), 1u);
+  EXPECT_EQ(first.time_us(), again.time_us());
+  EXPECT_EQ(first.energy_uj(), again.energy_uj());
+
+  // Scratch in DTCM: another key, and a different measured run.
+  runtime::InferenceEngine dtcm(vww_a);
+  dtcm.place_scratch(sim::MemRegion::kDtcm);
+  EXPECT_NE(run_key(dtcm, dae, sim), run_key(a, dae, sim));
+  EXPECT_NE(core::measure_schedule(&memo, dtcm, dae, sim, sims).time_us(),
+            first.time_us());
+  EXPECT_EQ(sims, 2);
+
+  // A different model.
+  const graph::Model pd = graph::zoo::make_person_detection();
+  const runtime::InferenceEngine pd_engine(pd);
+  EXPECT_NE(run_key(pd_engine, runtime::make_tinyengine_schedule(pd), sim),
+            run_key(a, runtime::make_tinyengine_schedule(vww_a), sim));
+
+  // A different plan.
+  runtime::Schedule faster = dae;
+  faster.plans.back().granularity = 8;
+  EXPECT_NE(run_key(a, faster, sim), run_key(a, dae, sim));
+
+  // Every SimParams field but the boot clock.
+  using Mutation = std::function<void(sim::SimParams&)>;
+  const std::vector<Mutation> mutations = {
+      [](sim::SimParams& p) { p.cache.size_bytes *= 2; },
+      [](sim::SimParams& p) { p.cache.line_bytes *= 2; },
+      [](sim::SimParams& p) { p.cache.ways *= 2; },
+      [](sim::SimParams& p) { p.memory.sram_miss_ns += 1.0; },
+      [](sim::SimParams& p) { p.memory.flash_miss_ns += 1.0; },
+      [](sim::SimParams& p) { p.memory.writeback_ns += 1.0; },
+      [](sim::SimParams& p) { p.memory.dtcm_extra_cycles += 1.0; },
+      [](sim::SimParams& p) { p.memory.ws_mhz_per_state += 1.0; },
+      [](sim::SimParams& p) { p.cost.cycles_per_mac += 0.25; },
+      [](sim::SimParams& p) { p.cost.cycles_per_load_word += 1.0; },
+      [](sim::SimParams& p) { p.cost.cycles_per_store_word += 1.0; },
+      [](sim::SimParams& p) { p.cost.cycles_per_requant += 1.0; },
+      [](sim::SimParams& p) { p.cost.loop_overhead_cycles += 1.0; },
+      [](sim::SimParams& p) { p.cost.call_overhead_cycles += 1.0; },
+      [](sim::SimParams& p) { p.cost.strided_mac_factor += 0.1; },
+      [](sim::SimParams& p) { p.power.static_mw += 1.0; },
+      [](sim::SimParams& p) { p.power.dynamic_mw_per_mhz_v += 0.1; },
+      [](sim::SimParams& p) { p.power.voltage_exponent += 1.0; },
+      [](sim::SimParams& p) { p.power.pll_mw_per_vco_mhz += 0.01; },
+      [](sim::SimParams& p) { p.power.hse_mw_per_mhz += 0.01; },
+      [](sim::SimParams& p) { p.power.hsi_mw += 0.1; },
+      [](sim::SimParams& p) { p.power.compute_activity -= 0.1; },
+      [](sim::SimParams& p) { p.power.mem_stall_activity += 0.1; },
+      [](sim::SimParams& p) { p.power.idle_activity += 0.1; },
+      [](sim::SimParams& p) { p.power.gated_idle_mw += 1.0; },
+      [](sim::SimParams& p) { p.switching.mux_switch_us += 0.1; },
+      [](sim::SimParams& p) { p.switching.pll_relock_us += 1.0; },
+      [](sim::SimParams& p) { p.switching.hse_startup_us += 1.0; },
+      [](sim::SimParams& p) { p.switching.vos_change_us += 1.0; },
+  };
+  const std::uint64_t base = run_key(a, dae, sim);
+  for (std::size_t i = 0; i < mutations.size(); ++i) {
+    sim::SimParams changed = sim;
+    mutations[i](changed);
+    EXPECT_NE(run_key(a, dae, changed), base) << "SimParams mutation " << i;
+  }
+  sim::SimParams other_boot = sim;
+  other_boot.boot = clock::ClockConfig::hse_direct(50.0);
+  EXPECT_EQ(run_key(a, dae, other_boot), base);
 }
 
 TEST(ScheduleReplay, ReplayReproducesTheRecordedSchedule) {
@@ -101,10 +217,10 @@ TEST(ScheduleReplay, ReplayReproducesTheRecordedSchedule) {
   const runtime::Schedule sched = random_schedule(m, ds, rng, true);
   const ScheduleLedger led = record_schedule(engine, sched, sim);
   const ProfileEntry replayed = replay_schedule(led, sched, sim);
-  EXPECT_NEAR(replayed.t_us, led.recorded_t_us,
-              std::abs(led.recorded_t_us) * 1e-9);
-  EXPECT_NEAR(replayed.energy_uj, led.recorded_e_uj,
-              std::abs(led.recorded_e_uj) * 1e-9);
+  EXPECT_NEAR(replayed.t_us, led.end.time_us(),
+              std::abs(led.end.time_us()) * 1e-9);
+  EXPECT_NEAR(replayed.energy_uj, led.end.energy_uj(),
+              std::abs(led.end.energy_uj()) * 1e-9);
 }
 
 TEST(ScheduleReplay, MatchesExactSimulationAcrossZooModels) {
@@ -127,12 +243,12 @@ TEST(ScheduleReplay, MatchesExactSimulationAcrossZooModels) {
         ASSERT_TRUE(replay_compatible(led, mutated));
         const ProfileEntry replayed = replay_schedule(led, mutated, sim);
         const ScheduleLedger direct = record_schedule(engine, mutated, sim);
-        EXPECT_NEAR(replayed.t_us, direct.recorded_t_us,
-                    std::abs(direct.recorded_t_us) * 1e-9)
+        EXPECT_NEAR(replayed.t_us, direct.end.time_us(),
+                    std::abs(direct.end.time_us()) * 1e-9)
             << m.name() << " assignment " << assignment << " variant "
             << variant;
-        EXPECT_NEAR(replayed.energy_uj, direct.recorded_e_uj,
-                    std::abs(direct.recorded_e_uj) * 1e-9)
+        EXPECT_NEAR(replayed.energy_uj, direct.end.energy_uj(),
+                    std::abs(direct.end.energy_uj()) * 1e-9)
             << m.name() << " assignment " << assignment << " variant "
             << variant;
       }
@@ -215,11 +331,11 @@ TEST(ScheduleReplay, GranularityPatchMatchesDirectSimulation) {
 
       const ProfileEntry replayed = replay_schedule(led, swapped, sim);
       const ScheduleLedger direct = record_schedule(engine, swapped, sim);
-      EXPECT_NEAR(replayed.t_us, direct.recorded_t_us,
-                  std::abs(direct.recorded_t_us) * 1e-9)
+      EXPECT_NEAR(replayed.t_us, direct.end.time_us(),
+                  std::abs(direct.end.time_us()) * 1e-9)
           << m.name() << " pair " << pair << " layer " << k;
-      EXPECT_NEAR(replayed.energy_uj, direct.recorded_e_uj,
-                  std::abs(direct.recorded_e_uj) * 1e-9)
+      EXPECT_NEAR(replayed.energy_uj, direct.end.energy_uj(),
+                  std::abs(direct.end.energy_uj()) * 1e-9)
           << m.name() << " pair " << pair << " layer " << k;
     }
   }
@@ -266,11 +382,11 @@ TEST(ScheduleReplay, GranularityPatchComposes) {
     ASSERT_TRUE(replay_compatible(led, sched)) << "step " << step;
     const ProfileEntry replayed = replay_schedule(led, sched, sim);
     const ScheduleLedger direct = record_schedule(engine, sched, sim);
-    EXPECT_NEAR(replayed.t_us, direct.recorded_t_us,
-                std::abs(direct.recorded_t_us) * 1e-9)
+    EXPECT_NEAR(replayed.t_us, direct.end.time_us(),
+                std::abs(direct.end.time_us()) * 1e-9)
         << "step " << step;
-    EXPECT_NEAR(replayed.energy_uj, direct.recorded_e_uj,
-                std::abs(direct.recorded_e_uj) * 1e-9)
+    EXPECT_NEAR(replayed.energy_uj, direct.end.energy_uj(),
+                std::abs(direct.end.energy_uj()) * 1e-9)
         << "step " << step;
   }
 }
