@@ -59,7 +59,6 @@ class Rcc {
     return locked_pll_;
   }
   [[nodiscard]] const RccStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   ClockConfig current_;

@@ -32,9 +32,6 @@ class DvfsPolicy {
   virtual void enter_compute_segment(sim::Mcu&) {}
 };
 
-/// No clock changes — baseline behaviour.
-class NoDvfs final : public DvfsPolicy {};
-
 /// The paper's policy: LFO (HSE-direct) for memory segments, HFO (PLL) for
 /// compute segments (§III-B).
 class LfoHfoPolicy final : public DvfsPolicy {

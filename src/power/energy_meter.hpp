@@ -1,26 +1,13 @@
-// Energy accounting over the simulated timeline, standing in for the INA219
-// power sensor of the paper's rig. The meter integrates P(t) dt exactly
-// (event-driven), and can additionally resample the power trace at a fixed
-// period with quantization to mimic the physical sensor's 12-bit sampling —
-// used by tests to show the measurement error the paper's rig would add.
+// Energy accounting over the simulated timeline. The meter integrates
+// P(t) dt exactly and event by event: every constant-power interval the
+// simulator charges adds power x duration to the running total, and to the
+// total of the interval's attribution tag.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace daedvfs::power {
-
-/// One constant-power segment of the timeline.
-struct PowerSegment {
-  double t_begin_us = 0.0;
-  double t_end_us = 0.0;
-  double power_mw = 0.0;
-  /// Attribution tag (layer index, "idle", "switch", ...).
-  std::string tag;
-};
 
 /// Exact, event-driven energy integrator with per-tag attribution.
 class EnergyMeter {
@@ -33,55 +20,10 @@ class EnergyMeter {
   [[nodiscard]] double total_uj() const { return total_uj_; }
   /// Energy attributed to one tag (0 if unknown).
   [[nodiscard]] double tag_uj(const std::string& tag) const;
-  [[nodiscard]] const std::map<std::string, double>& by_tag() const {
-    return by_tag_;
-  }
-  /// Raw trace (only retained when enabled; off by default to keep long
-  /// simulations cheap). Retention is bounded: once the ring holds
-  /// `trace_capacity()` segments the oldest are overwritten
-  /// (trace_dropped() counts them), so keep_trace(true) on an arbitrarily
-  /// long simulation uses constant memory.
-  void keep_trace(bool on) { keep_trace_ = on; }
-  /// Default trace bound: ~1M segments (tens of MB worst case).
-  static constexpr std::size_t kDefaultTraceCapacity = 1u << 20;
-  /// Sets the trace ring bound (clamped to >= 1). Existing retained
-  /// segments are preserved newest-first if the new bound is smaller.
-  void set_trace_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t trace_capacity() const { return trace_cap_; }
-  /// Segments overwritten by the bounded ring.
-  [[nodiscard]] std::uint64_t trace_dropped() const { return trace_dropped_; }
-  /// Retained segments in chronological order. Returns by value: the ring's
-  /// storage wraps, so a flattened copy is materialized per call.
-  [[nodiscard]] std::vector<PowerSegment> trace() const;
-
-  /// Average power over [t0, t1] computed from the totals.
-  [[nodiscard]] double average_power_mw(double t0_us, double t1_us) const {
-    return t1_us > t0_us ? total_uj_ / (t1_us - t0_us) * 1000.0 : 0.0;
-  }
-
-  void reset();
 
  private:
   double total_uj_ = 0.0;
   std::map<std::string, double> by_tag_;
-  bool keep_trace_ = false;
-  std::vector<PowerSegment> trace_;
-  std::size_t trace_cap_ = kDefaultTraceCapacity;
-  std::size_t trace_head_ = 0;  ///< Oldest retained segment once wrapped.
-  std::uint64_t trace_dropped_ = 0;
-};
-
-/// INA219-style fixed-rate sampler: integrates a retained trace the way the
-/// physical sensor would (sample & hold at `sample_period_us`, current LSB
-/// quantization). Quantifies rig measurement error in tests.
-struct Ina219Sampler {
-  double sample_period_us = 1000.0;  ///< ~1 kHz effective sampling.
-  double lsb_mw = 0.5;               ///< Power quantization step.
-
-  /// Energy (uJ) the sensor would report for `trace` over [t0, t1].
-  [[nodiscard]] double sampled_energy_uj(
-      const std::vector<PowerSegment>& trace, double t0_us,
-      double t1_us) const;
 };
 
 }  // namespace daedvfs::power

@@ -110,10 +110,4 @@ uint64_t CacheSim::state_fingerprint() const {
   return h;
 }
 
-void CacheSim::flush(bool clear_stats) {
-  for (Line& l : lines_) l = {};
-  use_stamp_ = 0;
-  if (clear_stats) stats_ = {};
-}
-
 }  // namespace daedvfs::sim

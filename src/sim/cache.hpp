@@ -58,9 +58,6 @@ class CacheSim {
   AccessResult access_strided(uint64_t vaddr, uint64_t stride, uint32_t count,
                               uint64_t elem_bytes, bool is_write);
 
-  /// Invalidates all lines (discarding dirty data) and optionally the stats.
-  void flush(bool clear_stats = false);
-
   /// Canonical fingerprint of the *behavioral* cache state: per way the
   /// (valid, tag, dirty) triple plus each valid line's LRU rank within its
   /// set. Absolute use stamps are normalized away — two caches with equal

@@ -138,7 +138,6 @@ class Mcu {
 
   /// Attribution tag stamped on subsequent energy records (e.g. "L03/mem").
   void set_tag(std::string tag) { tag_ = std::move(tag); }
-  [[nodiscard]] const std::string& tag() const { return tag_; }
 
   /// Attaches a work ledger recording per-clock-domain totals of every
   /// subsequent event (nullptr detaches). Used by the DSE frequency replay.
@@ -166,21 +165,6 @@ class Mcu {
   double time_us_ = 0.0;
   std::string tag_ = "boot";
   WorkLedger* ledger_ = nullptr;
-};
-
-/// RAII tag scope: restores the previous attribution tag on destruction.
-class ScopedTag {
- public:
-  ScopedTag(Mcu& mcu, std::string tag) : mcu_(mcu), prev_(mcu.tag()) {
-    mcu_.set_tag(std::move(tag));
-  }
-  ~ScopedTag() { mcu_.set_tag(prev_); }
-  ScopedTag(const ScopedTag&) = delete;
-  ScopedTag& operator=(const ScopedTag&) = delete;
-
- private:
-  Mcu& mcu_;
-  std::string prev_;
 };
 
 }  // namespace daedvfs::sim

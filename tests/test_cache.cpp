@@ -67,15 +67,6 @@ TEST(Cache, CleanEvictionHasNoWriteback) {
   EXPECT_EQ(c.stats().writebacks, 0u);
 }
 
-TEST(Cache, FlushInvalidates) {
-  CacheSim c;
-  c.access(0x1000, 4, false);
-  c.flush();
-  EXPECT_EQ(c.access(0x1000, 4, false).misses, 1u);
-  c.flush(/*clear_stats=*/true);
-  EXPECT_EQ(c.stats().accesses, 0u);
-}
-
 TEST(Cache, StridedCoalescesSmallStrides) {
   CacheSim c;
   // 32 elements at stride 4 within one 128-byte span: 4 lines, not 32.

@@ -1,4 +1,4 @@
-// Unit tests for the event-driven energy meter and the INA219-style sampler.
+// Unit tests for the event-driven energy meter.
 #include <gtest/gtest.h>
 
 #include "power/energy_meter.hpp"
@@ -21,97 +21,6 @@ TEST(EnergyMeter, TagAttributionIsAdditive) {
   EXPECT_DOUBLE_EQ(m.tag_uj("L0/cmp"), 200.0);
   EXPECT_DOUBLE_EQ(m.tag_uj("unknown"), 0.0);
   EXPECT_DOUBLE_EQ(m.total_uj(), m.tag_uj("L0/mem") + m.tag_uj("L0/cmp"));
-}
-
-TEST(EnergyMeter, AveragePower) {
-  EnergyMeter m;
-  m.record(0.0, 1000.0, 120.0, "x");
-  EXPECT_DOUBLE_EQ(m.average_power_mw(0.0, 1000.0), 120.0);
-  EXPECT_DOUBLE_EQ(m.average_power_mw(0.0, 2000.0), 60.0);
-}
-
-TEST(EnergyMeter, TraceOnlyWhenEnabled) {
-  EnergyMeter m;
-  m.record(0.0, 1.0, 1.0, "x");
-  EXPECT_TRUE(m.trace().empty());
-  m.keep_trace(true);
-  m.record(1.0, 2.0, 1.0, "x");
-  ASSERT_EQ(m.trace().size(), 1u);
-  EXPECT_DOUBLE_EQ(m.trace()[0].t_begin_us, 1.0);
-}
-
-TEST(EnergyMeter, TraceRingDropsOldestAtCapacity) {
-  EnergyMeter m;
-  m.keep_trace(true);
-  m.set_trace_capacity(3);
-  EXPECT_EQ(m.trace_capacity(), 3u);
-  for (int i = 0; i < 8; ++i) {
-    const double t = i * 10.0;
-    m.record(t, t + 10.0, 5.0, "x");
-  }
-  EXPECT_EQ(m.trace_dropped(), 5u);
-  const auto tr = m.trace();
-  ASSERT_EQ(tr.size(), 3u);
-  // Oldest segments dropped: [50,60), [60,70), [70,80) retained, in order.
-  EXPECT_DOUBLE_EQ(tr[0].t_begin_us, 50.0);
-  EXPECT_DOUBLE_EQ(tr[1].t_begin_us, 60.0);
-  EXPECT_DOUBLE_EQ(tr[2].t_begin_us, 70.0);
-  // Energy totals are unaffected by trace retention.
-  EXPECT_DOUBLE_EQ(m.total_uj(), 8 * 10.0 * 5.0 / 1000.0);
-}
-
-TEST(EnergyMeter, ShrinkingCapacityKeepsNewestSegments) {
-  EnergyMeter m;
-  m.keep_trace(true);
-  for (int i = 0; i < 6; ++i) {
-    const double t = i * 10.0;
-    m.record(t, t + 10.0, 5.0, "x");
-  }
-  m.set_trace_capacity(2);
-  const auto tr = m.trace();
-  ASSERT_EQ(tr.size(), 2u);
-  EXPECT_DOUBLE_EQ(tr[0].t_begin_us, 40.0);
-  EXPECT_DOUBLE_EQ(tr[1].t_begin_us, 50.0);
-  EXPECT_EQ(m.trace_dropped(), 4u);
-  EXPECT_EQ(m.trace_capacity(), 2u);
-  // Clamped to at least one retained segment.
-  m.set_trace_capacity(0);
-  EXPECT_EQ(m.trace_capacity(), 1u);
-  ASSERT_EQ(m.trace().size(), 1u);
-  EXPECT_DOUBLE_EQ(m.trace()[0].t_begin_us, 50.0);
-}
-
-TEST(EnergyMeter, ResetClearsEverything) {
-  EnergyMeter m;
-  m.keep_trace(true);
-  m.record(0.0, 1.0, 1.0, "x");
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.total_uj(), 0.0);
-  EXPECT_TRUE(m.trace().empty());
-  EXPECT_TRUE(m.by_tag().empty());
-}
-
-TEST(Ina219Sampler, ExactForConstantPower) {
-  EnergyMeter m;
-  m.keep_trace(true);
-  m.record(0.0, 10000.0, 100.0, "x");
-  Ina219Sampler sampler{1000.0, 0.5};
-  EXPECT_NEAR(sampler.sampled_energy_uj(m.trace(), 0.0, 10000.0),
-              m.total_uj(), 1e-9);
-}
-
-TEST(Ina219Sampler, BoundedErrorOnSwitchingTrace) {
-  // Alternate 50/200 mW every 700 us; 1 kHz sampling aliases but the
-  // integral must stay within ~20% (what the paper's rig would see).
-  EnergyMeter m;
-  m.keep_trace(true);
-  for (int i = 0; i < 100; ++i) {
-    const double t = i * 700.0;
-    m.record(t, t + 700.0, (i % 2) ? 200.0 : 50.0, "x");
-  }
-  Ina219Sampler sampler{1000.0, 0.5};
-  const double sampled = sampler.sampled_energy_uj(m.trace(), 0.0, 70000.0);
-  EXPECT_NEAR(sampled, m.total_uj(), 0.2 * m.total_uj());
 }
 
 }  // namespace

@@ -108,14 +108,27 @@ TEST(Mcu, TagsAttributeEnergy) {
               mcu.energy_uj(), 1e-9);
 }
 
-TEST(Mcu, ScopedTagRestores) {
+// Energy is accumulated as mw * (t_end - t_begin) * 1e-3 per interval, with
+// t_end = t_begin + dt. Folding the meter into the timeline as mw * dt * 1e-3
+// looks equivalent but rounds differently and moves the deploy and fleet
+// perfbench digests.
+TEST(Mcu, EnergyAccumulatesEndMinusBeginBitForBit) {
   Mcu mcu(params_at(kHfo216));
-  mcu.set_tag("outer");
-  {
-    ScopedTag scope(mcu, "inner");
-    EXPECT_EQ(mcu.tag(), "inner");
-  }
-  EXPECT_EQ(mcu.tag(), "outer");
+  const double mw = mcu.power_model().power_mw(
+      power::PowerState::from_rcc(mcu.rcc()), power::Activity::kCompute);
+  mcu.compute(1e5);
+  const double t1 = mcu.time_us();
+  const double dt2 = 12345.0 / mcu.sysclk_mhz();
+  mcu.compute(12345.0);
+  EXPECT_EQ(mcu.time_us(), t1 + dt2);
+
+  double expected = 0.0;
+  expected += mw * (t1 - 0.0) * 1e-3;
+  expected += mw * ((t1 + dt2) - t1) * 1e-3;
+  // Guard: these values tell the two forms apart.
+  ASSERT_NE(mw * dt2 * 1e-3, mw * ((t1 + dt2) - t1) * 1e-3);
+  ASSERT_NE(mw * t1 * 1e-3 + mw * dt2 * 1e-3, expected);
+  EXPECT_EQ(mcu.energy_uj(), expected);
 }
 
 TEST(Mcu, ChargeMemoryAdvancesStall) {
