@@ -1,6 +1,6 @@
 // Fleet-simulation throughput benchmark: thousands of per-node mission
-// variants through the SoA MissionBatch engine + thread-pool fan-out
-// (scenario/fleet.hpp) vs the pre-fleet serial loop-over-simulate_mission,
+// variants through simulate_fleet's thread-pool fan-out (scenario/fleet.hpp)
+// vs the pre-fleet serial loop-over-simulate_mission,
 // on ladders built once per device class over one shared ProfileCache.
 // Emits BENCH_fleet.json with the gates the PR's acceptance criteria pin:
 //
@@ -9,9 +9,10 @@
 //                         >= 8 cores are available, a no-regression floor
 //                         when fewer — CI re-derives the formula from the
 //                         recorded core count, scripts/check_bench_gates.py);
-//   * soa_no_regression — one fleet thread vs the serial loop: the SoA
-//                         batch engine may not cost more than 25% overhead
-//                         per mission (it is the same loop, laid out flat);
+//   * soa_no_regression — one fleet thread vs the serial loop: the fleet
+//                         path may not cost more than 25% overhead per
+//                         mission (it runs the same simulate_mission, with
+//                         one wake table per class instead of per mission);
 //   * thread_invariant  — FleetReport JSON byte-equal for 1 vs 8 threads;
 //   * ladder_cache_reused — the second class's ladder build hits the shared
 //                         profile cache (build once, read everywhere);
@@ -224,9 +225,9 @@ int main(int argc, char** argv) {
   const double required = required_speedup(effective_threads);
   const bool speedup_ok = speedup >= required;
 
-  // SoA no-regression: the 1-thread fleet runs the same missions through
-  // the batched engine; per-mission cost may not regress past 25% (it is
-  // usually *faster*: flat state, shared arenas, no per-mission deque).
+  // No-regression: the 1-thread fleet runs the same missions through the
+  // same engine; per-mission cost may not regress past 25% (it is usually
+  // a little faster: one wake table per class, not one per mission).
   const double soa_ratio = serial_ms > 0.0 ? fleet1_ms / serial_ms : 0.0;
   const bool soa_no_regression = soa_ratio <= 1.25;
 

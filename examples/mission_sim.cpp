@@ -17,8 +17,8 @@
 // --fleet N adds a fifth walkthrough: the v4 checkpointed mission expanded
 // into an N-node fleet (seeded per-node battery aging, panel spread, link
 // quality, microclimate — scenario/fleet.hpp), fanned out across the thread
-// pool on the SoA batch engine, reported as percentile distributions, a
-// survival curve and fleet availability.
+// pool, reported as percentile distributions, a survival curve and fleet
+// availability.
 //
 // --trace records the v4 checkpointed-predictive mission as Chrome
 // trace-event JSON (open in Perfetto / chrome://tracing; schema in
@@ -341,8 +341,8 @@ int main(int argc, char** argv) {
   // draws its own battery age, panel orientation, link quality and
   // microclimate from a stream seeded with (fleet seed ^ node id)
   // (scenario/fleet.hpp), all reading the one predictive ladder, fanned out
-  // across the thread pool on the SoA batch engine. The aggregate is
-  // byte-identical for any thread count (docs/scenarios.md).
+  // across the thread pool. The aggregate is byte-identical for any thread
+  // count (docs/scenarios.md).
   if (fleet_nodes > 0) {
     scenario::FleetSpec fl;
     fl.name = model.name() + "-fleet";
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
 
     const scenario::FleetReport fr = scenario::simulate_fleet(fl);
     std::cout << "\n=== v5: fleet of " << fr.nodes
-              << " — seeded node spread, shared ladder, SoA fan-out ===\n"
+              << " — seeded node spread, shared ladder, thread-pool fan-out ===\n"
               << "fleet availability " << std::setprecision(4)
               << fr.fleet_availability() << ", " << fr.depleted << "/"
               << fr.nodes << " nodes depleted, " << std::setprecision(1)

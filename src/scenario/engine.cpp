@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,20 +25,24 @@ constexpr std::uint64_t kMaxFrames = 200'000'000ULL;
 /// jitter) never consume — or depend on — the period-jitter stream.
 constexpr std::uint64_t kFaultStreamSalt = 0xfa017c0de5eedULL;
 
+/// IntervalSet over entries with a `start_s` and a `duration_s`
+/// (connectivity windows, radio outages).
+template <class Span>
+IntervalSet interval_set_of(const std::vector<Span>& entries) {
+  std::vector<std::pair<double, double>> spans;
+  spans.reserve(entries.size());
+  for (const Span& e : entries) spans.emplace_back(e.start_s, e.duration_s);
+  return IntervalSet::from_spans(spans);
+}
+
 /// Connectivity windows as an IntervalSet (scenario/faults.hpp), preserving
 /// the documented edge case: no *effective* (positive-duration) windows =
 /// always connected — a list of degenerate zero-length entries behaves like
 /// the empty list, not like a permanent blackout.
 class Connectivity {
  public:
-  explicit Connectivity(const std::vector<ConnectivityWindow>& windows) {
-    std::vector<std::pair<double, double>> spans;
-    spans.reserve(windows.size());
-    for (const ConnectivityWindow& w : windows) {
-      spans.emplace_back(w.start_s, w.duration_s);
-    }
-    set_ = IntervalSet::from_spans(spans);
-  }
+  explicit Connectivity(const std::vector<ConnectivityWindow>& windows)
+      : set_(interval_set_of(windows)) {}
 
   [[nodiscard]] bool gated() const { return !set_.empty(); }
 
@@ -53,15 +58,16 @@ class Connectivity {
   IntervalSet set_;
 };
 
-/// Deque-shaped view of one node's backlog ring inside the batch's shared
-/// slab. Capacity is the uplink queue bound + 1 (a capture is pushed before
-/// the overflow check evicts the oldest), so the ring never wraps onto live
-/// entries; values and service order are exactly the old std::deque's.
+/// Deque-shaped fixed ring of capture times awaiting service. Capacity is
+/// the uplink queue bound + 1 (a capture is pushed before the overflow
+/// check evicts the oldest), so the ring never wraps onto live entries and
+/// never allocates after construction; values and service order are
+/// exactly a std::deque's.
 class BacklogRing {
  public:
-  BacklogRing(double* buf, std::uint32_t cap, std::uint32_t& head,
-              std::uint32_t& len)
-      : buf_(buf), cap_(cap), head_(head), len_(len) {}
+  explicit BacklogRing(std::uint32_t bound)
+      : buf_(static_cast<std::size_t>(bound) + 1),
+        cap_(static_cast<std::uint32_t>(buf_.size())) {}
 
   [[nodiscard]] bool empty() const { return len_ == 0; }
   [[nodiscard]] std::uint32_t size() const { return len_; }
@@ -81,10 +87,10 @@ class BacklogRing {
   void clear() { len_ = 0; }
 
  private:
-  double* buf_;
+  std::vector<double> buf_;
   std::uint32_t cap_;
-  std::uint32_t& head_;
-  std::uint32_t& len_;
+  std::uint32_t head_ = 0;
+  std::uint32_t len_ = 0;
 };
 
 /// Harvest intake effective at `ambient_c`: the active step scaled by the
@@ -107,20 +113,15 @@ std::vector<Event> sorted_by_time(const std::vector<Event>& events) {
   return sorted;
 }
 
-/// One node's mission state: its borrowed spec, ranges into the batch's
-/// shared event and backlog arenas, and everything the slot loop reads and
-/// writes. Distinct nodes touch distinct NodeStates, which is what makes
-/// concurrent run() calls on different nodes safe.
-struct NodeState {
-  const MissionSpec* spec = nullptr;
-  // Sorted mission-event timelines: [begin, begin + count) of each arena.
-  std::uint32_t qos_begin = 0, qos_count = 0;
-  std::uint32_t temp_begin = 0, temp_count = 0;
-  std::uint32_t harvest_begin = 0, harvest_count = 0;
-  std::uint32_t reset_begin = 0, reset_count = 0;
-  // Backlog ring: [queue_off, queue_off + queue_cap) of the queue slab.
-  std::size_t queue_off = 0;
-  std::uint32_t queue_cap = 0, queue_head = 0, queue_len = 0;
+/// One mission's state: its sorted event timelines, its backlog, and
+/// everything the slot loop reads and writes. Local to one
+/// simulate_mission call, so concurrent missions share nothing mutable.
+struct MissionState {
+  std::vector<QosEvent> qos;
+  std::vector<TempEvent> temp;
+  std::vector<HarvestEvent> harvest;
+  std::vector<ResetEvent> resets;
+  BacklogRing queue;  ///< Captures awaiting service.
 
   Connectivity link;
   IntervalSet outages;
@@ -140,14 +141,19 @@ struct NodeState {
   int cur = -1;        ///< Rung of the last served frame.
   int predicted = -1;  ///< Pre-locked rung awaiting its wake.
   int wake = -1;       ///< Clock-tree state (WakeTable id); -1 = cold start.
-  bool prelock_pending = false, ran = false;
-  std::uint32_t next_event = 0, next_temp = 0, next_harvest = 0;
-  std::uint32_t next_reset = 0, shed_countdown = 0;
+  bool prelock_pending = false;
+  std::size_t next_event = 0, next_temp = 0, next_harvest = 0, next_reset = 0;
+  std::uint32_t shed_countdown = 0;
   GovernorCheckpoint ckpt;
 
-  NodeState(const MissionSpec& s, const power::RadioModel& radio)
-      : spec(&s),
+  MissionState(const MissionSpec& s, const power::RadioModel& radio)
+      : qos(sorted_by_time(s.qos_events)),
+        temp(sorted_by_time(s.temp_events)),
+        harvest(sorted_by_time(s.harvest_events)),
+        resets(sorted_by_time(s.faults.resets)),
+        queue(std::max<std::uint32_t>(s.uplink_queue_frames, 1)),
         link(s.connectivity),
+        outages(interval_set_of(s.faults.radio.outages)),
         radio_us(radio.tx_us()),
         radio_uj(radio.tx_uj()),
         radio_follow_us(radio.payload_us()),
@@ -167,94 +173,23 @@ struct NodeState {
 
 }  // namespace
 
-/// The batch: one NodeState per node plus the shared arenas for event
-/// timelines and backlog rings, and the wake-transition table every node's
-/// frames are priced from. add() fills a node's state; run() executes the
-/// slot loop on it.
-struct MissionBatch::Block {
-  const SchedulePolicy& policy;
-  const double t_base_us;
-  /// policy.rungs() priced with the batch's SimParams (switch costs, power
-  /// model, boot clock): the engine's wake transitions and pre-locks,
-  /// handed to the policy through FrameContext.
-  const WakeTable wakes;
-  double max_peak_mhz = 0.0;
-
-  std::vector<NodeState> nodes;
-  std::vector<QosEvent> qos_arena;
-  std::vector<TempEvent> temp_arena;
-  std::vector<HarvestEvent> harvest_arena;
-  std::vector<ResetEvent> reset_arena;
-  std::vector<double> queue_slab;
-
-  Block(const SchedulePolicy& p, double tb, const sim::SimParams& s)
-      : policy(p),
-        t_base_us(tb),
-        wakes(p.rungs(), s.switching, power::PowerModel(s.power), s.boot) {
-    for (const RungInfo& rung : p.rungs()) {
-      max_peak_mhz = std::max(max_peak_mhz, rung.peak_mhz());
-    }
+MissionReport simulate_mission(const MissionSpec& spec,
+                               const SchedulePolicy& policy, double t_base_us,
+                               const WakeTable& wakes, obs::Sink* sink) {
+  const std::vector<RungInfo>& rungs = policy.rungs();
+  if (wakes.rung_count() != rungs.size()) {
+    throw std::invalid_argument(
+        "simulate_mission: WakeTable priced for " +
+        std::to_string(wakes.rung_count()) + " rungs, policy '" +
+        policy.name() + "' has " + std::to_string(rungs.size()));
   }
-};
-
-MissionBatch::MissionBatch(const SchedulePolicy& policy, double t_base_us,
-                           const sim::SimParams& sim)
-    : b_(std::make_unique<Block>(policy, t_base_us, sim)) {}
-
-MissionBatch::~MissionBatch() = default;
-
-std::size_t MissionBatch::size() const { return b_->nodes.size(); }
-
-std::size_t MissionBatch::add(const MissionSpec& s) {
-  Block& b = *b_;
-  NodeState& n = b.nodes.emplace_back(s, power::RadioModel(s.radio));
-
-  const auto append = [](auto& arena, std::uint32_t& begin,
-                         std::uint32_t& count, const auto& sorted) {
-    begin = static_cast<std::uint32_t>(arena.size());
-    count = static_cast<std::uint32_t>(sorted.size());
-    arena.insert(arena.end(), sorted.begin(), sorted.end());
-  };
-  append(b.qos_arena, n.qos_begin, n.qos_count, sorted_by_time(s.qos_events));
-  append(b.temp_arena, n.temp_begin, n.temp_count,
-         sorted_by_time(s.temp_events));
-  append(b.harvest_arena, n.harvest_begin, n.harvest_count,
-         sorted_by_time(s.harvest_events));
-  append(b.reset_arena, n.reset_begin, n.reset_count,
-         sorted_by_time(s.faults.resets));
-
-  std::vector<std::pair<double, double>> outage_spans;
-  outage_spans.reserve(s.faults.radio.outages.size());
-  for (const Outage& o : s.faults.radio.outages) {
-    outage_spans.emplace_back(o.start_s, o.duration_s);
-  }
-  n.outages = IntervalSet::from_spans(outage_spans);
-
-  // Ring region: queue bound + 1 (push-then-evict never wraps onto live
-  // entries).
-  const std::uint32_t cap = std::max<std::uint32_t>(s.uplink_queue_frames, 1);
-  n.queue_off = b.queue_slab.size();
-  n.queue_cap = cap + 1;
-  b.queue_slab.resize(b.queue_slab.size() + cap + 1);
-  return b.nodes.size() - 1;
-}
-
-MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
-  Block& b = *b_;
-  NodeState& n = b.nodes.at(node);
-  const MissionSpec& spec = *n.spec;
-  const SchedulePolicy& policy = b.policy;
-
   MissionReport r;
   r.mission = spec.name;
   r.policy = policy.name();
-  const std::vector<RungInfo>& rungs = policy.rungs();
   r.frames_per_rung.assign(rungs.size(), 0);
-  if (rungs.empty() || b.t_base_us <= 0.0 || spec.duty.period_s <= 0.0) {
+  if (rungs.empty() || t_base_us <= 0.0 || spec.duty.period_s <= 0.0) {
     return r;
   }
-  assert(!n.ran && "MissionBatch::run consumes a node's state");
-  n.ran = true;
 
   // ---- Observability (obs/). Emission only: every site below is gated on
   // the recorder pointer and reads engine state without feeding back — the
@@ -271,17 +206,16 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
   }
   int link_traced = -1;  ///< Connectivity span state: -1 unknown, 0/1 down/up.
 
-  // ---- Bind node `node`'s state. A standalone mission runs this same
-  // loop on a batch of one, which is what keeps batched reports
-  // bit-identical to standalone ones.
-  const WakeTable& wakes = b.wakes;
+  MissionState n(spec, power::RadioModel(spec.radio));
   power::Battery& battery = n.battery;
-  const QosEvent* const qos_events = b.qos_arena.data() + n.qos_begin;
-  const TempEvent* const temp_events = b.temp_arena.data() + n.temp_begin;
-  const HarvestEvent* const harvest_events =
-      b.harvest_arena.data() + n.harvest_begin;
+  const QosEvent* const qos_events = n.qos.data();
+  const TempEvent* const temp_events = n.temp.data();
+  const HarvestEvent* const harvest_events = n.harvest.data();
   Connectivity& link = n.link;
-  const double max_peak_mhz = b.max_peak_mhz;
+  double max_peak_mhz = 0.0;
+  for (const RungInfo& rung : rungs) {
+    max_peak_mhz = std::max(max_peak_mhz, rung.peak_mhz());
+  }
 
   // ---- Fault machinery (scenario/faults.hpp). Every fault path below is
   // gated on its spec being declared, and fault decisions draw from a
@@ -298,7 +232,7 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     return faults.radio.loss_prob > 0.0 &&
            n.fault_rng.next_unit() < faults.radio.loss_prob;
   };
-  const ResetEvent* const resets = b.reset_arena.data() + n.reset_begin;
+  const ResetEvent* const resets = n.resets.data();
   const RebootSpec& reboot = faults.reboot;
   const bool ckpt_on = reboot.checkpointed();
   const DegradedModeSpec& degraded = faults.degraded;
@@ -308,11 +242,10 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
   double& slack = n.slack;
   double& ambient_c = n.ambient_c;
   double& harvest_mw = n.harvest_mw;
-  const bool has_harvest = harvest_mw > 0.0 || n.harvest_count > 0;
+  const bool has_harvest = harvest_mw > 0.0 || !n.harvest.empty();
   int& cur = n.cur;
   int& wake = n.wake;
-  BacklogRing queue(b.queue_slab.data() + n.queue_off, n.queue_cap,
-                    n.queue_head, n.queue_len);  ///< Captures awaiting service.
+  BacklogRing& queue = n.queue;
   const std::size_t queue_cap =
       std::max<std::uint32_t>(spec.uplink_queue_frames, 1);
 
@@ -362,20 +295,20 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
       break;
     }
     bool slack_changed = false;
-    while (n.next_event < n.qos_count &&
+    while (n.next_event < n.qos.size() &&
            qos_events[n.next_event].at_s <= now_s) {
       slack = qos_events[n.next_event++].qos_slack;
       slack_changed = true;
     }
     bool ambient_changed = false;
-    while (n.next_temp < n.temp_count &&
+    while (n.next_temp < n.temp.size() &&
            temp_events[n.next_temp].at_s <= now_s) {
       ambient_c = temp_events[n.next_temp++].ambient_c;
       ambient_changed = true;
     }
     if (ambient_changed) battery.set_ambient_c(ambient_c);
     bool harvest_changed = false;
-    while (n.next_harvest < n.harvest_count &&
+    while (n.next_harvest < n.harvest.size() &&
            harvest_events[n.next_harvest].at_s <= now_s) {
       harvest_mw = std::max(harvest_events[n.next_harvest++].intake_mw, 0.0);
       harvest_changed = true;
@@ -400,7 +333,7 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     // the governor either restores the last checkpoint (rung preference,
     // miss EWMA, queued frames captured at or before it) or cold-boots
     // (everything queued is dropped).
-    while (n.next_reset < n.reset_count &&
+    while (n.next_reset < n.resets.size() &&
            resets[n.next_reset].at_s <= now_s) {
       ++n.next_reset;
       ++r.resets;
@@ -461,10 +394,10 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
     }
 
     double period_s = spec.duty.period_s;
-    for (const Burst& b2 : spec.bursts) {
-      if (b2.period_s > 0.0 && now_s >= b2.start_s &&
-          now_s < b2.start_s + b2.duration_s) {
-        period_s = std::min(period_s, b2.period_s);
+    for (const Burst& burst : spec.bursts) {
+      if (burst.period_s > 0.0 && now_s >= burst.start_s &&
+          now_s < burst.start_s + burst.duration_s) {
+        period_s = std::min(period_s, burst.period_s);
       }
     }
     if (spec.period_jitter > 0.0) {
@@ -476,7 +409,7 @@ MissionReport MissionBatch::run(std::size_t node, obs::Sink* sink) {
         battery.soc() < spec.low_battery_soc) {
       active_slack = std::max(active_slack, spec.low_battery_qos_slack);
     }
-    const double deadline_us = b.t_base_us * (1.0 + active_slack);
+    const double deadline_us = t_base_us * (1.0 + active_slack);
 
     // Every slot is a capture *opportunity* the duty cycle offers — the
     // availability denominator. Slots the node reboots through are offered
@@ -774,9 +707,9 @@ MissionReport simulate_mission(const MissionSpec& spec,
                                const SchedulePolicy& policy,
                                double t_base_us, const sim::SimParams& sim,
                                obs::Sink* sink) {
-  MissionBatch batch(policy, t_base_us, sim);
-  batch.add(spec);
-  return batch.run(0, sink);
+  const WakeTable wakes(policy.rungs(), sim.switching,
+                        power::PowerModel(sim.power), sim.boot);
+  return simulate_mission(spec, policy, t_base_us, wakes, sink);
 }
 
 }  // namespace daedvfs::scenario

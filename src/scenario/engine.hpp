@@ -40,57 +40,12 @@
 // Specs that use none of these reproduce the v1 engine bit for bit.
 #pragma once
 
-#include <cstddef>
-#include <memory>
-
 #include "obs/sink.hpp"
 #include "scenario/mission.hpp"
 #include "scenario/policy.hpp"
 #include "sim/mcu.hpp"
 
 namespace daedvfs::scenario {
-
-/// Mission batch: one shared policy/ladder (read-only) and one sim
-/// parameterization serve all its nodes. Each node's slot-loop state
-/// (battery, backlog ring, pre-lock, jitter/fault RNG streams, event
-/// cursors) is one NodeState; event timelines and backlog rings live in
-/// shared arenas. The batch prices the ladder's wake transitions once
-/// (WakeTable, scenario/policy.hpp) and every frame of every node reads
-/// them from there. The fleet layer (scenario/fleet.hpp) builds one batch
-/// per worker chunk; the scalar `simulate_mission` below is exactly the N=1
-/// case, so batched and standalone reports are bit-identical by
-/// construction (pinned by the golden report, the 200-seed fuzz digests,
-/// and test_fleet.cpp).
-///
-/// Usage: add() every node, then run() each node exactly once. Threading:
-/// distinct nodes touch disjoint state, so different nodes may run
-/// concurrently from different threads once all add() calls are done; the
-/// policy is only read (attach no obs sink to a shared LadderPolicy while
-/// batches run in parallel — its counters are not atomic).
-class MissionBatch {
- public:
-  /// `policy` is borrowed for the batch's lifetime; `sim` is read here
-  /// only (its wake-transition prices are tabulated).
-  MissionBatch(const SchedulePolicy& policy, double t_base_us,
-               const sim::SimParams& sim);
-  ~MissionBatch();
-  MissionBatch(const MissionBatch&) = delete;
-  MissionBatch& operator=(const MissionBatch&) = delete;
-
-  /// Registers one node and initializes its state slot. `spec` is borrowed
-  /// and must outlive the batch. Returns the node index.
-  std::size_t add(const MissionSpec& spec);
-  [[nodiscard]] std::size_t size() const;
-
-  /// Simulates node `node` to completion and returns its report —
-  /// bit-identical to simulate_mission on the same spec. Consumes the
-  /// node's state: each node runs exactly once.
-  [[nodiscard]] MissionReport run(std::size_t node, obs::Sink* sink = nullptr);
-
- private:
-  struct Block;  ///< Node states, arenas and wake table (engine.cpp).
-  std::unique_ptr<Block> b_;
-};
 
 /// Runs `spec` against `policy`. `t_base_us` is the TinyEngine-at-216 MHz
 /// reference latency that converts QoS slacks into absolute deadlines
@@ -107,6 +62,20 @@ class MissionBatch {
                                              const SchedulePolicy& policy,
                                              double t_base_us,
                                              const sim::SimParams& sim,
+                                             obs::Sink* sink = nullptr);
+
+/// The same simulation with its wake transitions read from `wakes`, which
+/// must price `policy.rungs()` under the mission's switch and power
+/// parameters (the SimParams form above builds exactly that table and
+/// calls this). Lets many missions on one ladder share one table — the
+/// fleet builds one per device class. `wakes` and `policy` are only read,
+/// so concurrent missions may share them (attach no obs sink to a shared
+/// LadderPolicy meanwhile — its counters are not atomic). Throws std::invalid_argument when `wakes` was
+/// priced for a different rung count than `policy.rungs()`.
+[[nodiscard]] MissionReport simulate_mission(const MissionSpec& spec,
+                                             const SchedulePolicy& policy,
+                                             double t_base_us,
+                                             const WakeTable& wakes,
                                              obs::Sink* sink = nullptr);
 
 }  // namespace daedvfs::scenario

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -121,8 +122,10 @@ FleetReport simulate_fleet(const FleetSpec& fleet, const FleetOptions& opts) {
   std::vector<std::size_t> class_first(fleet.classes.size(), 0);
   for (std::size_t c = 0; c < fleet.classes.size(); ++c) {
     const DeviceClass& dc = fleet.classes[c];
-    assert((dc.nodes == 0 || dc.policy != nullptr) &&
-           "every populated DeviceClass needs a shared ladder");
+    if (dc.nodes > 0 && dc.policy == nullptr) {
+      throw std::invalid_argument("simulate_fleet: device class '" + dc.name +
+                                  "' has nodes but no policy");
+    }
     class_first[c] = class_of.size();
     class_of.insert(class_of.end(), dc.nodes, c);
   }
@@ -139,41 +142,33 @@ FleetReport simulate_fleet(const FleetSpec& fleet, const FleetOptions& opts) {
   }
   if (n == 0) return report;
 
-  // ---- Fan-out. Chunks are deterministic index ranges; each chunk derives
-  // its nodes' specs locally and runs them through one MissionBatch per
-  // contiguous same-class run (one flat SoA block, one shared ladder).
+  // ---- Fan-out. One WakeTable per populated class, built before the
+  // fan-out and only read by it. Chunks are deterministic index ranges;
+  // each derives its nodes' specs locally and simulates them one by one.
   // Reports land in preassigned slots — nothing downstream depends on
   // which thread ran which chunk. Per-node runs get no sink: obs
   // registries are not thread-safe, and fleet.* aggregates are published
   // once below, after the barrier.
+  std::vector<WakeTable> wakes(fleet.classes.size());
+  for (std::size_t c = 0; c < fleet.classes.size(); ++c) {
+    const DeviceClass& dc = fleet.classes[c];
+    if (dc.nodes == 0) continue;
+    wakes[c] = WakeTable(dc.policy->rungs(), dc.sim.switching,
+                         power::PowerModel(dc.sim.power), dc.sim.boot);
+  }
   std::vector<MissionReport> reports(n);
   const int threads = util::ThreadPool::resolve(opts.threads);
   util::ThreadPool pool(std::max(threads - 1, 0));
   pool.parallel_for(
       static_cast<std::int64_t>(n), std::max<std::int64_t>(opts.chunk, 1),
       [&](std::int64_t begin, std::int64_t end) {
-        std::int64_t run_begin = begin;
-        while (run_begin < end) {
-          const std::size_t c = class_of[static_cast<std::size_t>(run_begin)];
-          std::int64_t run_end = run_begin + 1;
-          while (run_end < end &&
-                 class_of[static_cast<std::size_t>(run_end)] == c) {
-            ++run_end;
-          }
+        for (std::int64_t i = begin; i < end; ++i) {
+          const auto node = static_cast<std::size_t>(i);
+          const std::size_t c = class_of[node];
           const DeviceClass& dc = fleet.classes[c];
-          std::vector<MissionSpec> specs;
-          specs.reserve(static_cast<std::size_t>(run_end - run_begin));
-          for (std::int64_t i = run_begin; i < run_end; ++i) {
-            specs.push_back(derive_node_spec(
-                fleet, c, static_cast<std::uint64_t>(i)));
-          }
-          MissionBatch batch(*dc.policy, dc.t_base_us, dc.sim);
-          for (const MissionSpec& s : specs) batch.add(s);
-          for (std::int64_t i = run_begin; i < run_end; ++i) {
-            reports[static_cast<std::size_t>(i)] = batch.run(
-                static_cast<std::size_t>(i - run_begin));
-          }
-          run_begin = run_end;
+          reports[node] = simulate_mission(
+              derive_node_spec(fleet, c, node), *dc.policy, dc.t_base_us,
+              wakes[c]);
         }
       });
 
@@ -325,20 +320,9 @@ std::vector<FleetParetoPoint> fleet_pareto(
                     : 0.0;
     points.push_back(std::move(p));
   }
-  for (FleetParetoPoint& p : points) {
-    p.on_front = true;
-    for (const FleetParetoPoint& q : points) {
-      const bool no_worse = q.mean_energy_uj <= p.mean_energy_uj &&
-                            q.mean_availability >= p.mean_availability;
-      const bool strictly_better =
-          q.mean_energy_uj < p.mean_energy_uj ||
-          q.mean_availability > p.mean_availability;
-      if (no_worse && strictly_better) {
-        p.on_front = false;
-        break;
-      }
-    }
-  }
+  mark_pareto_front(
+      points, [](const FleetParetoPoint& p) { return p.mean_energy_uj; },
+      [](const FleetParetoPoint& p) { return -p.mean_availability; });
   return points;
 }
 

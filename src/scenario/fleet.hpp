@@ -1,11 +1,11 @@
 // Fleet-scale mission simulation: expands a handful of device-class base
 // missions into thousands of seeded per-node variants, fans them out across
-// util::ThreadPool on top of the structure-of-arrays MissionBatch engine
-// (scenario/engine.hpp), and aggregates the per-node MissionReports into a
-// FleetReport — energy/lateness/availability distributions with exact
-// (nearest-rank) percentiles, per-class breakdowns, a fleet survival curve
-// over mission time, and a fleet-level (energy, availability) Pareto front
-// across governor postures. This is the layer that answers "what fraction
+// util::ThreadPool through the mission engine (scenario/engine.hpp), and
+// aggregates the per-node MissionReports into a FleetReport —
+// energy/lateness/availability distributions with exact (nearest-rank)
+// percentiles, per-class breakdowns, a fleet survival curve over mission
+// time, and a fleet-level (energy, availability) Pareto front across
+// governor postures. This is the layer that answers "what fraction
 // of a 100k-node fleet survives winter?" (ROADMAP north star) from the
 // single-node machinery of PRs 2–7.
 //
@@ -17,11 +17,13 @@
 // byte-identical across thread counts and across runs; no wall-clock
 // quantity is ever part of it (missions/sec and friends go to
 // obs::MetricsRegistry instead). Per-node reports are bit-identical to
-// standalone simulate_mission on the same derived spec — the batch engine
-// is the scalar engine with the state laid out flat (test_fleet.cpp).
+// standalone simulate_mission on the same derived spec: each node runs
+// simulate_mission itself, reading its class's shared WakeTable
+// (test_fleet.cpp).
 //
 // Sharing: all nodes of a class read one precomputed governor ladder
-// (SchedulePolicy is const during simulation), and build_fleet_ladders
+// (SchedulePolicy is const during simulation) and one wake-transition
+// table built from it before the fan-out, and build_fleet_ladders
 // constructs the per-class ladders sequentially over ONE dse::ProfileCache,
 // so structurally identical layers across classes profile exactly once —
 // today every caller rebuilds cache and ladder per mission.
@@ -178,8 +180,8 @@ struct FleetOptions {
   /// (DAEDVFS_THREADS, then hardware concurrency). The calling thread
   /// participates, so `threads` is the total parallelism.
   int threads = 0;
-  /// Nodes per parallel_for chunk — each chunk builds one MissionBatch per
-  /// contiguous same-class run, so its nodes share flat SoA state.
+  /// Nodes per parallel_for chunk: scheduling granularity only — the
+  /// report never depends on it.
   std::int64_t chunk = 16;
   /// Sample count of the survival curve (evenly spaced over the longest
   /// class horizon).
@@ -194,6 +196,8 @@ struct FleetOptions {
 
 /// Simulates every node of the fleet and aggregates. Parallel fan-out over
 /// deterministic chunks; byte-identical FleetReport for any thread count.
+/// Throws std::invalid_argument, naming the class, when a populated
+/// DeviceClass has no policy.
 [[nodiscard]] FleetReport simulate_fleet(const FleetSpec& fleet,
                                          const FleetOptions& opts = {});
 

@@ -90,19 +90,9 @@ std::vector<MissionParetoPoint> mission_pareto(
     p.deadline_misses = r.deadline_misses;
     points.push_back(std::move(p));
   }
-  for (MissionParetoPoint& p : points) {
-    p.on_front = true;
-    for (const MissionParetoPoint& q : points) {
-      const bool no_worse = q.total_uj <= p.total_uj &&
-                            q.mean_lateness_s <= p.mean_lateness_s;
-      const bool strictly_better = q.total_uj < p.total_uj ||
-                                   q.mean_lateness_s < p.mean_lateness_s;
-      if (no_worse && strictly_better) {
-        p.on_front = false;
-        break;
-      }
-    }
-  }
+  mark_pareto_front(
+      points, [](const MissionParetoPoint& p) { return p.total_uj; },
+      [](const MissionParetoPoint& p) { return p.mean_lateness_s; });
   return points;
 }
 
@@ -144,19 +134,9 @@ std::vector<AvailabilityParetoPoint> availability_pareto(
     p.frames_shed = r.frames_shed;
     points.push_back(std::move(p));
   }
-  for (AvailabilityParetoPoint& p : points) {
-    p.on_front = true;
-    for (const AvailabilityParetoPoint& q : points) {
-      const bool no_worse =
-          q.total_uj <= p.total_uj && q.availability >= p.availability;
-      const bool strictly_better =
-          q.total_uj < p.total_uj || q.availability > p.availability;
-      if (no_worse && strictly_better) {
-        p.on_front = false;
-        break;
-      }
-    }
-  }
+  mark_pareto_front(
+      points, [](const AvailabilityParetoPoint& p) { return p.total_uj; },
+      [](const AvailabilityParetoPoint& p) { return -p.availability; });
   return points;
 }
 

@@ -302,6 +302,26 @@ struct MissionParetoPoint {
   bool on_front = false;
 };
 
+/// Sets each point's `on_front`: true iff no other point is at most as
+/// large on both minimized axes `x(p)` and `y(p)` with one of the two
+/// strict. Pass a maximized axis negated. Exact duplicates all stay on the
+/// front and input order is preserved; O(n^2) over the handful of
+/// postures it ranks.
+template <class Point, class X, class Y>
+void mark_pareto_front(std::vector<Point>& points, const X& x, const Y& y) {
+  for (Point& p : points) {
+    p.on_front = true;
+    for (const Point& q : points) {
+      const bool no_worse = x(q) <= x(p) && y(q) <= y(p);
+      const bool strictly_better = x(q) < x(p) || y(q) < y(p);
+      if (no_worse && strictly_better) {
+        p.on_front = false;
+        break;
+      }
+    }
+  }
+}
+
 /// Reduces a set of MissionReports (same mission, different policies) to the
 /// mission Pareto front: a point is on the front iff no other point is at
 /// most as expensive AND at most as late with one of the two strict.

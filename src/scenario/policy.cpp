@@ -27,12 +27,6 @@ TransitionCost wake_transition(const WakeState& wake, const RungInfo& to,
   return out;
 }
 
-TransitionCost rung_transition(const RungInfo& from, const RungInfo& to,
-                               const clock::SwitchCostParams& switching,
-                               const power::PowerModel& pm) {
-  return wake_transition(WakeState::after(from), to, switching, pm);
-}
-
 int WakeTable::intern(const WakeState& w) {
   const auto it = std::find(states_.begin(), states_.end(), w);
   if (it != states_.end()) return static_cast<int>(it - states_.begin());
@@ -220,11 +214,11 @@ std::optional<PrelockAnchor> find_prelock_anchor(
   if (t_base_us <= 0.0) return std::nullopt;
   for (std::size_t j = 0; j < rungs.size(); ++j) {
     const TransitionCost wrap =
-        rung_transition(rungs[j], rungs[j], switching, pm);
+        wake_transition(WakeState::after(rungs[j]), rungs[j], switching, pm);
     if (wrap.us < 1.0) continue;  // wrap-free: not a mixed rung
     for (std::size_t i = 0; i < j; ++i) {
-      const TransitionCost iwrap =
-          rung_transition(rungs[i], rungs[i], switching, pm);
+      const TransitionCost iwrap = wake_transition(
+          WakeState::after(rungs[i]), rungs[i], switching, pm);
       if (iwrap.us >= 1.0 || rungs[i].e_uj <= rungs[j].e_uj) continue;
       PrelockAnchor anchor;
       anchor.mixed = static_cast<int>(j);

@@ -171,13 +171,6 @@ struct TransitionCost {
                                              const clock::SwitchCostParams& sw,
                                              const power::PowerModel& pm);
 
-/// Legacy convenience: transition out of `from`'s exit state (no pre-lock).
-/// Same-schedule wrap-around (from == to) pays it too whenever the
-/// schedule's last layer runs a different HFO than its first.
-[[nodiscard]] TransitionCost rung_transition(
-    const RungInfo& from, const RungInfo& to,
-    const clock::SwitchCostParams& switching, const power::PowerModel& pm);
-
 /// Which tier of the tiered-fallback ladder resolved a pick — the decision
 /// mix the governor metrics expose (governor.tier_* counters).
 enum Tier : int {
@@ -240,6 +233,8 @@ class WakeTable {
             const std::optional<clock::ClockConfig>& boot = std::nullopt);
 
   [[nodiscard]] std::size_t state_count() const { return states_.size(); }
+  /// Ladder size the table was priced for (entries per row).
+  [[nodiscard]] std::size_t rung_count() const { return rungs_; }
   [[nodiscard]] const WakeState& state(int id) const {
     return states_[static_cast<std::size_t>(id)];
   }

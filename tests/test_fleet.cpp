@@ -1,13 +1,15 @@
 // Fleet-layer determinism contract (scenario/fleet.hpp): the FleetReport
 // JSON is byte-identical across thread counts and runs, per-node reports
 // are bit-identical to standalone simulate_mission on the same derived
-// spec, the SoA MissionBatch reproduces the scalar engine bit for bit on
-// fuzzed specs, and the shared ProfileCache counters stay coherent under
-// concurrent readers (run this under TSan to pin the data-race fix).
+// spec, a shared per-class WakeTable prices fuzzed missions bit for bit like
+// the mission's own table, malformed fleet input is rejected explicitly,
+// and the shared ProfileCache counters stay coherent under concurrent
+// readers (run this under TSan to pin the data-race fix).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -140,26 +142,53 @@ TEST(Fleet, PerNodeReportsEqualStandaloneSimulateMission) {
   }
 }
 
-TEST(Fleet, BatchEngineMatchesScalarEngineOnFuzzedSpecs) {
+TEST(Fleet, SharedWakeTableMatchesOwnTableOnFuzzedSpecs) {
   const LadderPolicy ladder = make_synthetic_ladder(true, true);
   const sim::SimParams sim;
+  const WakeTable shared(ladder.rungs(), sim.switching,
+                         power::PowerModel(sim.power), sim.boot);
   SpecFeatures features;
   features.faults = true;
-  std::vector<MissionSpec> specs;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    specs.push_back(random_mission_spec(seed, features));
-    specs.back().horizon_s = std::min(specs.back().horizon_s, 3600.0);
+    MissionSpec spec = random_mission_spec(seed, features);
+    spec.horizon_s = std::min(spec.horizon_s, 3600.0);
+    const MissionReport with_shared =
+        simulate_mission(spec, ladder, kSyntheticTBase, shared);
+    const MissionReport with_own =
+        simulate_mission(spec, ladder, kSyntheticTBase, sim);
+    EXPECT_EQ(report_json(with_shared), report_json(with_own))
+        << "spec seed " << seed;
   }
-  MissionBatch batch(ladder, kSyntheticTBase, sim);
-  for (const MissionSpec& s : specs) batch.add(s);
-  ASSERT_EQ(batch.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const MissionReport batched = batch.run(i);
-    const MissionReport scalar =
-        simulate_mission(specs[i], ladder, kSyntheticTBase, sim);
-    EXPECT_EQ(report_json(batched), report_json(scalar))
-        << "spec seed " << (i + 1);
+}
+
+TEST(Fleet, RejectsWakeTablePricedForAnotherLadder) {
+  const LadderPolicy ladder = make_synthetic_ladder(true, true);
+  const sim::SimParams sim;
+  const std::vector<RungInfo> fewer(ladder.rungs().begin(),
+                                    ladder.rungs().end() - 1);
+  const WakeTable other(fewer, sim.switching, power::PowerModel(sim.power),
+                        sim.boot);
+  ASSERT_EQ(other.rung_count() + 1, ladder.rungs().size());
+  MissionSpec spec;
+  spec.horizon_s = 60.0;
+  EXPECT_THROW((void)simulate_mission(spec, ladder, kSyntheticTBase, other),
+               std::invalid_argument);
+}
+
+TEST(Fleet, RejectsPopulatedClassWithoutPolicy) {
+  const LadderPolicy ladder = make_synthetic_ladder(false);
+  FleetSpec fleet = fleet_for_test(ladder, ladder);
+  fleet.classes[1].policy = nullptr;
+  try {
+    (void)simulate_fleet(fleet, {});
+    FAIL() << "a populated class without a policy must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'relay'"), std::string::npos)
+        << e.what();
   }
+  // An empty class may leave its policy unset.
+  fleet.classes[1].nodes = 0;
+  EXPECT_EQ(simulate_fleet(fleet, {}).nodes, fleet.classes[0].nodes);
 }
 
 TEST(Fleet, DeriveNodeSpecIsPureAndSeeded) {

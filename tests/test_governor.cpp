@@ -106,15 +106,15 @@ TEST(Governor, AccountsForRelockOverheadWhenSwitching) {
   // From the cheapest rung, a deadline inside the transition margin of the
   // fastest rung must pick a rung whose latency *plus* transition fits.
   const int from = static_cast<int>(rungs.size()) - 1;
-  const scenario::TransitionCost trans = scenario::rung_transition(
-      rungs[static_cast<std::size_t>(from)], rungs[0],
-      cfg.pipeline.explore.sim.switching, pm);
+  const scenario::WakeState from_exit =
+      scenario::WakeState::after(rungs[static_cast<std::size_t>(from)]);
+  const scenario::TransitionCost trans = scenario::wake_transition(
+      from_exit, rungs[0], cfg.pipeline.explore.sim.switching, pm);
   scenario::FrameContext ctx;
   ctx.deadline_us = rungs[0].t_us + trans.us * 0.5;  // t fits, t+trans not
   const int chosen = gov.choose(ctx, from);
-  const scenario::TransitionCost chosen_trans = scenario::rung_transition(
-      rungs[static_cast<std::size_t>(from)],
-      rungs[static_cast<std::size_t>(chosen)],
+  const scenario::TransitionCost chosen_trans = scenario::wake_transition(
+      from_exit, rungs[static_cast<std::size_t>(chosen)],
       cfg.pipeline.explore.sim.switching, pm);
   // Either some rung genuinely fits net of its transition, or the governor
   // fell back to the fastest reachable one.
@@ -123,9 +123,8 @@ TEST(Governor, AccountsForRelockOverheadWhenSwitching) {
     double best_t = rungs[static_cast<std::size_t>(chosen)].t_us +
                     chosen_trans.us;
     for (std::size_t i = 0; i < rungs.size(); ++i) {
-      const scenario::TransitionCost tr = scenario::rung_transition(
-          rungs[static_cast<std::size_t>(from)], rungs[i],
-          cfg.pipeline.explore.sim.switching, pm);
+      const scenario::TransitionCost tr = scenario::wake_transition(
+          from_exit, rungs[i], cfg.pipeline.explore.sim.switching, pm);
       EXPECT_GE(rungs[i].t_us + tr.us, best_t - 1e-9)
           << "a faster reachable rung existed";
     }
