@@ -4,21 +4,24 @@
 
 namespace daedvfs::clock {
 
+RccState RccState::at(const ClockConfig& config) {
+  RccState st;
+  st.config = config;
+  if (config.source == ClockSource::kPll) st.locked_pll = config.pll;
+  st.scale = config.voltage_scale();
+  return st;
+}
+
 Rcc::Rcc(ClockConfig boot, SwitchCostParams params)
-    : current_(std::move(boot)),
-      scale_(current_.voltage_scale()),
-      params_(params) {
-  if (auto err = current_.validation_error()) {
+    : state_(RccState::at(boot)), params_(params) {
+  if (auto err = state_.config.validation_error()) {
     throw std::invalid_argument("invalid boot clock config: " + *err);
   }
-  if (current_.source == ClockSource::kPll) locked_pll_ = current_.pll;
 }
 
 SwitchCost apply_switch_policy(const SwitchCostParams& params,
-                               const ClockConfig& from, const ClockConfig& to,
-                               std::optional<PllConfig>& locked_pll,
-                               VoltageScale& scale) {
-  SwitchCost cost = switch_cost(params, from, to, locked_pll);
+                               RccState& state, const ClockConfig& to) {
+  SwitchCost cost = switch_cost(params, state.config, to, state.locked_pll);
   if (cost.total_us == 0.0) return cost;  // no-op switch
 
   // Regulator-scale policy: raising the scale is mandatory before running
@@ -26,21 +29,50 @@ SwitchCost apply_switch_policy(const SwitchCostParams& params,
   // relocks, i.e. between layers). Fast intra-layer mux toggles keep the
   // pinned scale so they never wait the ~40 us regulator settle time.
   const VoltageScale needed = to.voltage_scale();
-  if (core_voltage(needed) > core_voltage(scale)) {
-    scale = needed;
+  if (core_voltage(needed) > core_voltage(state.scale)) {
+    state.scale = needed;
     cost.total_us += params.vos_change_us;
     cost.vos_changed = true;
-  } else if (needed != scale && cost.pll_relocked) {
-    scale = needed;
+  } else if (needed != state.scale && cost.pll_relocked) {
+    state.scale = needed;
     cost.total_us += params.vos_change_us;
     cost.vos_changed = true;
   }
 
   if (to.source == ClockSource::kPll) {
-    locked_pll = to.pll;  // (re)locked by the switch
+    state.locked_pll = to.pll;  // (re)locked by the switch
   }
   // Selecting HSE/HSI leaves the PLL running (hardware behaviour): the mux
   // merely bypasses it. Rcc::stop_pll() models explicit gating.
+  state.config = to;
+  return cost;
+}
+
+SwitchCost background_reposition_cost(const SwitchCostParams& params,
+                                      const ClockConfig& target,
+                                      RccState& state) {
+  SwitchCost cost;
+  if (target.source == ClockSource::kPll && target.pll &&
+      (!state.locked_pll || !(*state.locked_pll == *target.pll))) {
+    // The PLL cannot be reprogrammed while it drives SYSCLK: park the
+    // retained sleep clock on the HSE bypass first (one mux toggle).
+    if (state.config.source == ClockSource::kPll) {
+      state.config = ClockConfig::hse_direct(state.config.hse_mhz);
+      cost.total_us += params.mux_switch_us;
+    }
+    cost.total_us += params.pll_relock_us;
+    cost.pll_relocked = true;
+    state.locked_pll = target.pll;
+  }
+  // The regulator settles at the target's requirement either way: raising is
+  // mandatory before running faster, and lowering is free to take here since
+  // nothing executes during a background reposition.
+  const VoltageScale needed = target.voltage_scale();
+  if (needed != state.scale) {
+    state.scale = needed;
+    cost.total_us += params.vos_change_us;
+    cost.vos_changed = true;
+  }
   return cost;
 }
 
@@ -48,11 +80,9 @@ SwitchCost Rcc::switch_to(const ClockConfig& target) {
   if (auto err = target.validation_error()) {
     throw std::invalid_argument("invalid clock config: " + *err);
   }
-  const SwitchCost cost =
-      apply_switch_policy(params_, current_, target, locked_pll_, scale_);
+  const SwitchCost cost = apply_switch_policy(params_, state_, target);
   if (cost.total_us == 0.0) return cost;  // no-op switch
 
-  current_ = target;
   ++stats_.switches;
   if (cost.pll_relocked) ++stats_.pll_relocks;
   if (cost.vos_changed) ++stats_.vos_changes;
@@ -61,10 +91,10 @@ SwitchCost Rcc::switch_to(const ClockConfig& target) {
 }
 
 void Rcc::stop_pll() {
-  if (current_.source == ClockSource::kPll) {
+  if (state_.config.source == ClockSource::kPll) {
     throw std::logic_error("cannot stop the PLL while it drives SYSCLK");
   }
-  locked_pll_.reset();
+  state_.locked_pll.reset();
 }
 
 }  // namespace daedvfs::clock

@@ -13,18 +13,48 @@
 
 namespace daedvfs::clock {
 
+/// Clock-tree state: the SYSCLK configuration, which PLL parameters are
+/// locked (nullopt = PLL off) and where the regulator sits. The one state
+/// every clock rule advances: Rcc holds it, and the closed-form users (dse
+/// whole-schedule replay, the scenario engine's wake states) carry it bare.
+struct RccState {
+  ClockConfig config;
+  std::optional<PllConfig> locked_pll;
+  VoltageScale scale = VoltageScale::kScale3;
+
+  /// Settled at `config`: PLL locked iff the config runs on it, regulator
+  /// at the config's requirement. A fresh boot (Rcc's constructor), the
+  /// sleep state a frame leaves behind, and a rebooted node's wake state.
+  [[nodiscard]] static RccState at(const ClockConfig& config);
+
+  [[nodiscard]] bool operator==(const RccState&) const = default;
+};
+
 /// One step of the RCC transition policy as a pure state machine: the
-/// switch cost of `from -> to` (mux/relock via switch_cost) plus the
+/// switch cost of `state.config -> to` (mux/relock via switch_cost) plus the
 /// regulator-scale rule (raising the scale is mandatory before running
-/// faster; lowering it only rides a relock), advancing `locked_pll` and
-/// `scale` in place. Rcc::switch_to runs exactly this; closed-form mirrors
-/// (dse whole-schedule replay, the scenario engine's rung transitions)
-/// call it too so they can never drift from the stateful model.
+/// faster; lowering it only rides a relock), advancing `state` in place.
+/// A no-op switch (zero cost) leaves `state` untouched. Rcc::switch_to runs
+/// exactly this.
 [[nodiscard]] SwitchCost apply_switch_policy(const SwitchCostParams& params,
-                                             const ClockConfig& from,
-                                             const ClockConfig& to,
-                                             std::optional<PllConfig>& locked_pll,
-                                             VoltageScale& scale);
+                                             RccState& state,
+                                             const ClockConfig& to);
+
+/// Cost of repositioning the clock tree *in the background*, off any
+/// execution critical path (the device sleeps): disable the PLL, reprogram
+/// it to `target.pll`, relock, and settle the regulator at `target`'s
+/// required scale. Reprogramming the PLL while the retained sleep SYSCLK
+/// (`state.config`) is driven by it is impossible (Rcc::stop_pll throws for
+/// the same reason), so in that case SYSCLK is first *parked* on the HSE
+/// bypass — `state.config` advances to hse_direct and the park's mux toggle
+/// joins the cost. Zero when the tree is already positioned. This prices
+/// the scenario engine's predictive PLL pre-lock during sleep
+/// (scenario/engine.cpp); the wake-up switch into a pre-locked target then
+/// degenerates to the near-instant mux toggle, while a mispredicted wake
+/// pays the honest relock from the parked state. `state` advances in place.
+[[nodiscard]] SwitchCost background_reposition_cost(
+    const SwitchCostParams& params, const ClockConfig& target,
+    RccState& state);
 
 /// Switch statistics, for profiling and the Fig. 6 analysis.
 struct RccStats {
@@ -48,22 +78,18 @@ class Rcc {
   /// switches back to a PLL config pay the full relock.
   void stop_pll();
 
-  [[nodiscard]] const ClockConfig& current() const { return current_; }
-  [[nodiscard]] double sysclk_mhz() const { return current_.sysclk_mhz(); }
-  [[nodiscard]] VoltageScale voltage_scale() const { return scale_; }
-  /// Pins the regulator scale (the DVFS runtime sets it to the layer's HFO
-  /// requirement so intra-layer toggles never wait on the regulator).
-  void pin_voltage_scale(VoltageScale s) { scale_ = s; }
-  [[nodiscard]] bool pll_running() const { return locked_pll_.has_value(); }
-  [[nodiscard]] const std::optional<PllConfig>& locked_pll() const {
-    return locked_pll_;
+  [[nodiscard]] const RccState& state() const { return state_; }
+  [[nodiscard]] const ClockConfig& current() const { return state_.config; }
+  [[nodiscard]] double sysclk_mhz() const {
+    return state_.config.sysclk_mhz();
+  }
+  [[nodiscard]] bool pll_running() const {
+    return state_.locked_pll.has_value();
   }
   [[nodiscard]] const RccStats& stats() const { return stats_; }
 
  private:
-  ClockConfig current_;
-  VoltageScale scale_;
-  std::optional<PllConfig> locked_pll_;
+  RccState state_;
   SwitchCostParams params_;
   RccStats stats_;
 };

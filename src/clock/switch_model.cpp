@@ -22,37 +22,8 @@ SwitchCost switch_cost(const SwitchCostParams& params, const ClockConfig& from,
   // Note: regulator-scale (VOS) transitions are a *policy* decision owned by
   // the Rcc model — the DVFS runtime pins the scale to the layer's HFO
   // requirement so intra-layer LFO<->HFO toggles never wait on the regulator.
-  // Rcc::switch_to() adds the VOS settle cost when it actually changes scale.
-  return cost;
-}
-
-SwitchCost background_reposition_cost(const SwitchCostParams& params,
-                                      const ClockConfig& target,
-                                      ClockConfig& retained,
-                                      std::optional<PllConfig>& locked_pll,
-                                      VoltageScale& scale) {
-  SwitchCost cost;
-  if (target.source == ClockSource::kPll && target.pll &&
-      (!locked_pll || !(*locked_pll == *target.pll))) {
-    // The PLL cannot be reprogrammed while it drives SYSCLK: park the
-    // retained sleep clock on the HSE bypass first (one mux toggle).
-    if (retained.source == ClockSource::kPll) {
-      retained = ClockConfig::hse_direct(retained.hse_mhz);
-      cost.total_us += params.mux_switch_us;
-    }
-    cost.total_us += params.pll_relock_us;
-    cost.pll_relocked = true;
-    locked_pll = target.pll;
-  }
-  // The regulator settles at the target's requirement either way: raising is
-  // mandatory before running faster, and lowering is free to take here since
-  // nothing executes during a background reposition.
-  const VoltageScale needed = target.voltage_scale();
-  if (needed != scale) {
-    scale = needed;
-    cost.total_us += params.vos_change_us;
-    cost.vos_changed = true;
-  }
+  // apply_switch_policy (clock/rcc.hpp) adds the VOS settle cost when it
+  // actually changes scale.
   return cost;
 }
 

@@ -41,22 +41,4 @@ struct SwitchCost {
                                      const ClockConfig& to,
                                      const std::optional<PllConfig>& locked_pll);
 
-/// Cost of repositioning the clock tree *in the background*, off any
-/// execution critical path (the device sleeps): disable the PLL, reprogram
-/// it to `target.pll`, relock, and settle the regulator at `target`'s
-/// required scale. Reprogramming the PLL while `retained` (the sleep
-/// SYSCLK) is driven by it is impossible (Rcc::stop_pll throws for the same
-/// reason), so in that case SYSCLK is first *parked* on the HSE bypass —
-/// `retained` advances to hse_direct and the park's mux toggle joins the
-/// cost. Zero when the tree is already positioned. This prices the scenario
-/// engine's predictive PLL pre-lock during sleep (scenario/engine.cpp); the
-/// wake-up switch into a pre-locked target then degenerates to the
-/// near-instant mux toggle, while a mispredicted wake pays the honest
-/// relock from the parked state. `retained`, `locked_pll` and `scale`
-/// advance in place, mirroring apply_switch_policy.
-[[nodiscard]] SwitchCost background_reposition_cost(
-    const SwitchCostParams& params, const ClockConfig& target,
-    ClockConfig& retained, std::optional<PllConfig>& locked_pll,
-    VoltageScale& scale);
-
 }  // namespace daedvfs::clock

@@ -2,8 +2,7 @@
 
 #include <stdexcept>
 
-#include "clock/switch_model.hpp"
-#include "clock/voltage.hpp"
+#include "clock/rcc.hpp"
 #include "power/power_model.hpp"
 #include "runtime/baseline.hpp"
 #include "sim/memory_model.hpp"
@@ -11,70 +10,18 @@
 namespace daedvfs::dse {
 namespace {
 
-/// Power-relevant state while `active` drives SYSCLK during a run booted at
-/// `boot_hfo` — mirrors power::PowerState::from_rcc for a profiling run:
-/// the regulator scale stays pinned at the boot requirement (intra-layer
-/// toggles never change it) and a boot-locked PLL keeps running through LFO
-/// segments.
-power::PowerState replay_state(const clock::ClockConfig& active,
-                               const clock::ClockConfig& boot_hfo) {
-  power::PowerState st = power::PowerState::from_config(boot_hfo);
-  st.sysclk_mhz = active.sysclk_mhz();
-  if (active.source == clock::ClockSource::kHse) {
-    st.hse_running = true;
-    st.hse_mhz = active.hse_mhz;
-  }
-  if (active.source == clock::ClockSource::kHsi) st.hsi_running = true;
-  return st;
-}
-
-/// Clock-subsystem state the inter-layer transition terms depend on — the
-/// clock::Rcc fields switch_to() reads and writes, advanced through the
-/// shared clock::apply_switch_policy state machine so the mirror can never
-/// drift from the stateful model.
-struct RccMirror {
-  clock::ClockConfig current;
-  std::optional<clock::PllConfig> locked_pll;
-  clock::VoltageScale scale = clock::VoltageScale::kScale3;
-
-  /// Boot state of a fresh Mcu (Rcc constructor semantics).
-  [[nodiscard]] static RccMirror boot(const clock::ClockConfig& cfg) {
-    RccMirror m;
-    m.current = cfg;
-    m.scale = cfg.voltage_scale();
-    if (cfg.source == clock::ClockSource::kPll) m.locked_pll = cfg.pll;
-    return m;
-  }
-
-  [[nodiscard]] power::PowerState power_state() const {
-    return power::PowerState::from_parts(current, locked_pll, scale);
-  }
-
-  /// Mirrors Rcc::switch_to followed by Mcu::switch_clock's stall charge at
-  /// the post-switch power state, accumulating into `t_us` / `e_uj`.
-  void switch_to(const clock::ClockConfig& target, const sim::SimParams& sim,
-                 const power::PowerModel& pm, double* t_us, double* e_uj) {
-    const clock::SwitchCost cost = clock::apply_switch_policy(
-        sim.switching, current, target, locked_pll, scale);
-    if (cost.total_us == 0.0) return;  // no-op switch
-    current = target;
-    *t_us += cost.total_us;
-    *e_uj += cost.total_us *
-             pm.power_mw(power_state(), power::Activity::kMemoryStall) * 1e-3;
-  }
-};
-
 /// Shared per-domain arithmetic of both replay flavors: re-times one
 /// WorkLedger with the HFO domain mapped to `hfo_new`, powering each domain
-/// at the state `state_of(active)` returns. `state_of` encodes who owns the
-/// surrounding clock context — the isolated profiling boot (replay_profile)
-/// or the mirrored in-situ RCC state (replay_schedule).
-template <typename StateOf>
+/// at `context` with `active` driving SYSCLK. `context` holds the locked PLL
+/// and regulator scale around the layer's work — the isolated profiling
+/// boot (replay_profile) or the in-situ state the layer-entry switch left
+/// (replay_schedule); intra-layer toggles change neither.
 ProfileEntry replay_work(const sim::WorkLedger& ledger,
                          const clock::ClockConfig& hfo_ref,
                          const clock::ClockConfig& hfo_new,
                          const sim::SimParams& sim,
-                         const power::PowerModel& pm, StateOf&& state_of) {
+                         const power::PowerModel& pm,
+                         const clock::RccState& context) {
   ProfileEntry out;
   for (const sim::WorkLedger::Domain& d : ledger.domains) {
     const bool is_hfo = d.config == hfo_ref;
@@ -111,7 +58,8 @@ ProfileEntry replay_work(const sim::WorkLedger& ledger,
     const double t_switch_us =
         static_cast<double>(d.switches_in) * sim.switching.mux_switch_us;
 
-    const power::PowerState st = state_of(active);
+    const power::PowerState st =
+        power::PowerState::of({active, context.locked_pll, context.scale});
     out.t_us += t_cmp_us + t_mem_us + t_switch_us;
     out.energy_uj +=
         t_cmp_us * pm.power_mw(st, power::Activity::kCompute) * 1e-3 +
@@ -129,9 +77,7 @@ ProfileEntry replay_profile(const sim::WorkLedger& ledger,
                             const sim::SimParams& sim) {
   const power::PowerModel pm(sim.power);
   return replay_work(ledger, hfo_ref, hfo_new, sim, pm,
-                     [&](const clock::ClockConfig& active) {
-                       return replay_state(active, hfo_new);
-                     });
+                     clock::RccState::at(hfo_new));
 }
 
 ScheduleLedger record_schedule(const runtime::InferenceEngine& engine,
@@ -252,21 +198,19 @@ ProfileEntry replay_schedule(const ScheduleLedger& ledger,
   if (schedule.plans.empty()) return out;
 
   const power::PowerModel pm(sim.power);
-  RccMirror rcc = RccMirror::boot(schedule.plans.front().hfo);
+  clock::RccState rcc = clock::RccState::at(schedule.plans.front().hfo);
   for (std::size_t i = 0; i < schedule.plans.size(); ++i) {
-    rcc.switch_to(schedule.plans[i].hfo, sim, pm, &out.t_us, &out.energy_uj);
+    const power::TransitionCost entry =
+        power::price_switch(sim.switching, pm, rcc, schedule.plans[i].hfo);
+    out.t_us += entry.us;
+    out.energy_uj += entry.uj;
     // Domains power up under the *in-situ* clock context: the regulator
     // scale and locked PLL the entry transition left behind (not the
     // isolated-boot assumption of replay_profile — they coincide for
     // all-PLL HFO ladders, but carry-over state differs for mixed ones).
-    const ProfileEntry work = replay_work(
-        ledger.layers[i].work, ledger.layers[i].ref_hfo,
-        schedule.plans[i].hfo, sim, pm,
-        [&](const clock::ClockConfig& active) {
-          RccMirror m = rcc;
-          m.current = active;
-          return m.power_state();
-        });
+    const ProfileEntry work =
+        replay_work(ledger.layers[i].work, ledger.layers[i].ref_hfo,
+                    schedule.plans[i].hfo, sim, pm, rcc);
     out.t_us += work.t_us;
     out.energy_uj += work.energy_uj;
   }

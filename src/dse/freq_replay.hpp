@@ -8,9 +8,13 @@
 // the power model's (V, f, VCO) terms. A sim::WorkLedger captures the
 // frequency-independent totals of one run per clock domain; this module
 // re-evaluates them in closed form for any other HFO, mirroring
-// sim::Mcu::advance / PowerModel::power_mw arithmetic term by term. The
-// result matches a direct simulation to floating-point reassociation error
-// (~1e-12 relative; asserted in tests/test_explore_fast.cpp).
+// sim::Mcu::advance's time terms. Power comes from the simulator's own
+// rules rather than a copy: each domain is powered by
+// power::PowerState::of over a clock::RccState (the active config plus the
+// locked PLL and regulator scale around it), and inter-layer switches are
+// priced by power::price_switch. The result matches a direct simulation to
+// floating-point reassociation error (~1e-12 relative) for PLL and non-PLL
+// HFOs alike (asserted in tests/test_explore_fast.cpp).
 //
 // This turns the HFO axis of the DSE from |HFO| simulations per (layer, g)
 // into one simulation plus |HFO|-1 constant-time evaluations.
@@ -26,10 +30,12 @@ namespace daedvfs::dse {
 
 /// Evaluates `ledger` (recorded while profiling a candidate booted at
 /// `hfo_ref`, toggling against `lfo` when DVFS was active) as if the run had
-/// used `hfo_new` instead. The LFO domain is re-evaluated unchanged; the HFO
-/// domain is re-timed and re-powered at the new configuration, including
-/// the pinned voltage scale and the still-locked PLL's VCO power during LFO
-/// segments.
+/// used `hfo_new` instead. The LFO domain is re-timed unchanged; the HFO
+/// domain is re-timed at the new configuration. Every domain is powered in
+/// the boot state clock::RccState::at(hfo_new) with its own config active:
+/// the regulator scale stays pinned at the HFO's requirement, a locked PLL
+/// keeps drawing VCO power through LFO segments, and with no PLL locked
+/// only the active source's oscillator runs.
 [[nodiscard]] ProfileEntry replay_profile(const sim::WorkLedger& ledger,
                                           const clock::ClockConfig& hfo_ref,
                                           const clock::ClockConfig& hfo_new,
@@ -48,8 +54,9 @@ namespace daedvfs::dse {
 // cache stream depends only on addresses and access order — fixed by the
 // per-layer granularities, not the frequencies — the same recording can be
 // re-evaluated in closed form for ANY reassignment of per-layer HFOs:
-// per-layer work via replay_profile, inter-layer transitions via an exact
-// mirror of the Rcc switch policy (relock + voltage-scale rules). Replayed
+// per-layer work re-timed like replay_profile, inter-layer transitions via
+// power::price_switch over the clock::RccState the previous layer left
+// (the Rcc's own relock + voltage-scale rules). Replayed
 // totals match a direct simulation of the new schedule to FP-reassociation
 // error (~1e-12 relative; pinned at 1e-9 in tests/test_schedule_replay.cpp).
 //
@@ -122,7 +129,8 @@ int patch_recorded_granularity(ScheduleLedger& ledger,
                                const sim::SimParams& sim);
 
 /// Closed-form (t, E) of `schedule` evaluated from a compatible recording:
-/// one replay_profile per layer plus the analytic inter-layer switch terms.
+/// each layer's work re-timed under the clock state its entry switch left,
+/// plus that switch priced by power::price_switch.
 /// Throws std::invalid_argument when the schedule is not replay-compatible.
 [[nodiscard]] ProfileEntry replay_schedule(const ScheduleLedger& ledger,
                                            const runtime::Schedule& schedule,

@@ -5,17 +5,12 @@ namespace daedvfs::power {
 
 using clock::ClockSource;
 
-PowerState PowerState::from_rcc(const clock::Rcc& rcc) {
-  return from_parts(rcc.current(), rcc.locked_pll(), rcc.voltage_scale());
-}
-
-PowerState PowerState::from_parts(
-    const clock::ClockConfig& active,
-    const std::optional<clock::PllConfig>& locked_pll,
-    clock::VoltageScale scale) {
+PowerState PowerState::of(const clock::RccState& rcc) {
+  const clock::ClockConfig& active = rcc.config;
+  const std::optional<clock::PllConfig>& locked_pll = rcc.locked_pll;
   PowerState st;
   st.sysclk_mhz = active.sysclk_mhz();
-  st.scale = scale;
+  st.scale = rcc.scale;
   st.pll_running = locked_pll.has_value();
   if (st.pll_running) st.vco_mhz = locked_pll->vco_mhz();
 
@@ -61,28 +56,22 @@ double PowerModel::power_mw(const PowerState& st, Activity act) const {
   return mw;
 }
 
-PowerState PowerState::from_config(const clock::ClockConfig& cfg) {
-  PowerState st;
-  st.sysclk_mhz = cfg.sysclk_mhz();
-  st.scale = cfg.voltage_scale();
-  st.pll_running = cfg.source == ClockSource::kPll;
-  if (st.pll_running) st.vco_mhz = cfg.pll->vco_mhz();
-  st.hse_running =
-      cfg.source == ClockSource::kHse ||
-      (st.pll_running && cfg.pll->input == ClockSource::kHse);
-  st.hse_mhz = st.hse_running
-                   ? (cfg.source == ClockSource::kHse ? cfg.hse_mhz
-                                                      : cfg.pll->input_mhz)
-                   : 0.0;
-  st.hsi_running =
-      cfg.source == ClockSource::kHsi ||
-      (st.pll_running && cfg.pll->input == ClockSource::kHsi);
-  return st;
-}
-
 double PowerModel::config_power_mw(const clock::ClockConfig& cfg,
                                    Activity act) const {
-  return power_mw(PowerState::from_config(cfg), act);
+  return power_mw(PowerState::of(clock::RccState::at(cfg)), act);
+}
+
+TransitionCost PowerModel::stall(double us,
+                                 const clock::RccState& after) const {
+  return {us, us * power_mw(PowerState::of(after), Activity::kMemoryStall) *
+                  1e-3};
+}
+
+TransitionCost price_switch(const clock::SwitchCostParams& sw,
+                            const PowerModel& pm, clock::RccState& state,
+                            const clock::ClockConfig& target) {
+  const clock::SwitchCost cost = clock::apply_switch_policy(sw, state, target);
+  return pm.stall(cost.total_us, state);
 }
 
 }  // namespace daedvfs::power

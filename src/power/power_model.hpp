@@ -43,7 +43,7 @@ enum class Activity {
   return "?";
 }
 
-/// Snapshot of everything power depends on. Built from the Rcc state.
+/// Snapshot of everything power depends on.
 struct PowerState {
   double sysclk_mhz = 16.0;
   clock::VoltageScale scale = clock::VoltageScale::kScale3;
@@ -53,21 +53,17 @@ struct PowerState {
   double hse_mhz = 0.0;
   bool hsi_running = false;
 
-  /// Derives the power-relevant state from an RCC snapshot. `hse_board_mhz`
-  /// is the crystal mounted on the board (runs whenever any config uses it).
-  [[nodiscard]] static PowerState from_rcc(const clock::Rcc& rcc);
+  /// The one derivation from clock-tree state: the PLL runs iff it is
+  /// locked, the HSE iff it drives SYSCLK or feeds the locked PLL, the HSI
+  /// likewise. The simulator (sim::Mcu), frequency replay and the scenario
+  /// engine's wake pricing all power their states through it.
+  [[nodiscard]] static PowerState of(const clock::RccState& rcc);
+};
 
-  /// The same derivation from bare clock-subsystem state — for closed-form
-  /// mirrors (whole-schedule replay, scenario rung transitions) that track
-  /// (active config, locked PLL, pinned scale) without a live Rcc.
-  [[nodiscard]] static PowerState from_parts(
-      const clock::ClockConfig& active,
-      const std::optional<clock::PllConfig>& locked_pll,
-      clock::VoltageScale scale);
-
-  /// Steady-state view of a standalone configuration: the PLL runs iff the
-  /// config uses it, the regulator sits at the config's required scale.
-  [[nodiscard]] static PowerState from_config(const clock::ClockConfig& cfg);
+/// Duration and energy of one clock-tree transition.
+struct TransitionCost {
+  double us = 0.0;
+  double uj = 0.0;
 };
 
 /// Calibration constants. All power in mW, frequency in MHz, voltage in V.
@@ -102,15 +98,30 @@ class PowerModel {
 
   [[nodiscard]] double power_mw(const PowerState& st, Activity act) const;
 
-  /// Convenience: steady-state compute power of a standalone configuration
-  /// (PLL running iff the config uses it). Used by Fig. 2 style enumeration.
+  /// Convenience: steady-state power of a standalone configuration
+  /// (clock::RccState::at). Used by Fig. 2 style enumeration.
   [[nodiscard]] double config_power_mw(const clock::ClockConfig& cfg,
                                        Activity act = Activity::kCompute) const;
+
+  /// `us` of clock-transition stall priced at `after`'s memory-stall power
+  /// — the core waits while the tree settles in its new state.
+  [[nodiscard]] TransitionCost stall(double us,
+                                     const clock::RccState& after) const;
 
   [[nodiscard]] const PowerModelParams& params() const { return params_; }
 
  private:
   PowerModelParams params_{};
 };
+
+/// Switches `state` to `target` through clock::apply_switch_policy and
+/// prices the switch's stall at the post-switch state (PowerModel::stall):
+/// sim::Mcu::switch_clock's charge in closed form, up to the simulator's
+/// end-minus-begin time accumulation. {0, 0} for a no-op switch. The one
+/// priced transition of dse::replay_schedule and scenario::wake_transition.
+[[nodiscard]] TransitionCost price_switch(const clock::SwitchCostParams& sw,
+                                          const PowerModel& pm,
+                                          clock::RccState& state,
+                                          const clock::ClockConfig& target);
 
 }  // namespace daedvfs::power

@@ -9,25 +9,13 @@
 
 namespace daedvfs::scenario {
 
-TransitionCost wake_transition(const WakeState& wake, const RungInfo& to,
+TransitionCost wake_transition(clock::RccState wake, const RungInfo& to,
                                const clock::SwitchCostParams& sw,
                                const power::PowerModel& pm) {
-  std::optional<clock::PllConfig> locked = wake.locked_pll;
-  clock::VoltageScale scale = wake.scale;
-  const clock::SwitchCost cost =
-      clock::apply_switch_policy(sw, wake.config, to.entry_hfo, locked, scale);
-  TransitionCost out;
-  if (cost.total_us == 0.0) return out;
-  out.us = cost.total_us;
-  out.uj = cost.total_us *
-           pm.power_mw(
-               power::PowerState::from_parts(to.entry_hfo, locked, scale),
-               power::Activity::kMemoryStall) *
-           1e-3;
-  return out;
+  return power::price_switch(sw, pm, wake, to.entry_hfo);
 }
 
-int WakeTable::intern(const WakeState& w) {
+int WakeTable::intern(const clock::RccState& w) {
   const auto it = std::find(states_.begin(), states_.end(), w);
   if (it != states_.end()) return static_cast<int>(it - states_.begin());
   states_.push_back(w);
@@ -39,34 +27,25 @@ WakeTable::WakeTable(const std::vector<RungInfo>& rungs,
                      const power::PowerModel& pm,
                      const std::optional<clock::ClockConfig>& boot)
     : rungs_(rungs.size()), switching_(switching), power_(pm.params()) {
-  if (boot) boot_ = intern(WakeState::at(*boot));
-  for (const RungInfo& r : rungs) exit_.push_back(intern(WakeState::after(r)));
+  if (boot) boot_ = intern(clock::RccState::at(*boot));
   for (const RungInfo& r : rungs) {
-    TransitionCost mux;
-    mux.us = switching.mux_switch_us;
-    mux.uj = mux.us *
-             pm.config_power_mw(r.entry_hfo, power::Activity::kMemoryStall) *
-             1e-3;
-    free_.push_back(mux);
+    exit_.push_back(intern(clock::RccState::at(r.exit_hfo)));
+  }
+  for (const RungInfo& r : rungs) {
+    free_.push_back(pm.stall(switching.mux_switch_us,
+                             clock::RccState::at(r.entry_hfo)));
   }
   for (const int from : exit_) {
     for (const RungInfo& target : rungs) {
-      WakeState w = states_[static_cast<std::size_t>(from)];
-      const clock::SwitchCost cost = clock::background_reposition_cost(
-          switching, target.entry_hfo, w.config, w.locked_pll, w.scale);
-      Reposition rp;
-      rp.us = cost.total_us;
-      rp.uj = cost.total_us *
-              pm.power_mw(power::PowerState::from_parts(w.config,
-                                                        w.locked_pll, w.scale),
-                          power::Activity::kMemoryStall) *
-              1e-3;
-      rp.to = intern(w);
-      reposition_.push_back(rp);
+      clock::RccState w = states_[static_cast<std::size_t>(from)];
+      const clock::SwitchCost sw =
+          clock::background_reposition_cost(switching, target.entry_hfo, w);
+      const TransitionCost cost = pm.stall(sw.total_us, w);
+      reposition_.push_back({intern(w), cost.us, cost.uj});
     }
   }
   cost_.reserve(states_.size() * rungs_);
-  for (const WakeState& w : states_) {
+  for (const clock::RccState& w : states_) {
     for (const RungInfo& r : rungs) {
       cost_.push_back(wake_transition(w, r, switching, pm));
     }
@@ -185,7 +164,7 @@ const TransitionCost* LadderPolicy::wake_row(
     if (ctx.wake_table->prices_like(table_)) {
       return ctx.wake_table->row(ctx.wake_id);
     }
-    const WakeState& wake = ctx.wake_table->state(ctx.wake_id);
+    const clock::RccState& wake = ctx.wake_table->state(ctx.wake_id);
     repriced.clear();
     for (const RungInfo& r : rungs_) {
       repriced.push_back(wake_transition(wake, r, switching_, pm_));
@@ -214,11 +193,12 @@ std::optional<PrelockAnchor> find_prelock_anchor(
   if (t_base_us <= 0.0) return std::nullopt;
   for (std::size_t j = 0; j < rungs.size(); ++j) {
     const TransitionCost wrap =
-        wake_transition(WakeState::after(rungs[j]), rungs[j], switching, pm);
+        wake_transition(clock::RccState::at(rungs[j].exit_hfo), rungs[j],
+                        switching, pm);
     if (wrap.us < 1.0) continue;  // wrap-free: not a mixed rung
     for (std::size_t i = 0; i < j; ++i) {
       const TransitionCost iwrap = wake_transition(
-          WakeState::after(rungs[i]), rungs[i], switching, pm);
+          clock::RccState::at(rungs[i].exit_hfo), rungs[i], switching, pm);
       if (iwrap.us >= 1.0 || rungs[i].e_uj <= rungs[j].e_uj) continue;
       PrelockAnchor anchor;
       anchor.mixed = static_cast<int>(j);

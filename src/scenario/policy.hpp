@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "clock/clock_config.hpp"
-#include "clock/switch_model.hpp"
+#include "clock/rcc.hpp"
 #include "obs/sink.hpp"
 #include "power/power_model.hpp"
 #include "scenario/mission.hpp"
@@ -47,40 +47,6 @@ struct RungInfo {
     const double x = exit_hfo.sysclk_mhz();
     return e > x ? e : x;
   }
-};
-
-/// Clock-tree state a frame wakes into: the SYSCLK configuration sleep
-/// retained, plus which PLL parameters are locked and where the regulator
-/// sits. Without predictive pre-locking this is exactly the previous rung's
-/// exit state; a pre-lock repositions `locked_pll`/`scale` during sleep.
-struct WakeState {
-  clock::ClockConfig config;
-  std::optional<clock::PllConfig> locked_pll;
-  clock::VoltageScale scale = clock::VoltageScale::kScale3;
-
-  /// Clock-tree state after settling at `config`: PLL locked iff the config
-  /// runs on it, regulator at the config's requirement. Used both for the
-  /// sleep state after a frame (after()) and for the state a rebooted node
-  /// wakes into (the boot clock configuration — a brownout reset erases any
-  /// pre-lock, see scenario/faults.hpp).
-  [[nodiscard]] static WakeState at(const clock::ClockConfig& config) {
-    WakeState w;
-    w.config = config;
-    if (config.source == clock::ClockSource::kPll) {
-      w.locked_pll = config.pll;
-    }
-    w.scale = config.voltage_scale();
-    return w;
-  }
-
-  /// Sleep state left behind by a frame executed on `rung` (the v1
-  /// derivation: exit clock retained, PLL locked iff the exit runs on it,
-  /// regulator at the exit requirement).
-  [[nodiscard]] static WakeState after(const RungInfo& rung) {
-    return at(rung.exit_hfo);
-  }
-
-  [[nodiscard]] bool operator==(const WakeState&) const = default;
 };
 
 class WakeTable;
@@ -156,17 +122,15 @@ class SchedulePolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Cost of waking into `to` from the clock-tree state sleep retained:
-/// SYSCLK mux + PLL relock when the parameters are not already locked +
-/// regulator settle when the scale differs, stalled at the target's
-/// memory-stall power. Runs the shared clock::apply_switch_policy state
-/// machine, so it can never drift from the stateful Rcc model.
-struct TransitionCost {
-  double us = 0.0;
-  double uj = 0.0;
-};
+using TransitionCost = power::TransitionCost;
 
-[[nodiscard]] TransitionCost wake_transition(const WakeState& wake,
+/// Cost of waking into `to` from the clock-tree state sleep retained
+/// (`wake`: the previous rung's exit, clock::RccState::at(exit_hfo), unless
+/// a pre-lock repositioned it): SYSCLK mux + PLL relock when the parameters
+/// are not already locked + regulator settle when the scale differs,
+/// stalled at the target's memory-stall power — power::price_switch, the
+/// same priced transition whole-schedule replay runs.
+[[nodiscard]] TransitionCost wake_transition(clock::RccState wake,
                                              const RungInfo& to,
                                              const clock::SwitchCostParams& sw,
                                              const power::PowerModel& pm);
@@ -209,8 +173,8 @@ struct RungPick {
 /// are interned into integer ids (at most N + 1 + N² for N rungs) and the
 /// hot loop reads rows instead of re-running clock and power physics per
 /// frame. Each entry is the value wake_transition /
-/// background_reposition_cost return for that state, evaluated once at
-/// construction, so table reads are bit-identical to pricing on the fly.
+/// clock::background_reposition_cost return for that state, evaluated once
+/// at construction, so table reads are bit-identical to pricing on the fly.
 class WakeTable {
  public:
   /// A background pre-lock (clock::background_reposition_cost) toward a
@@ -235,7 +199,7 @@ class WakeTable {
   [[nodiscard]] std::size_t state_count() const { return states_.size(); }
   /// Ladder size the table was priced for (entries per row).
   [[nodiscard]] std::size_t rung_count() const { return rungs_; }
-  [[nodiscard]] const WakeState& state(int id) const {
+  [[nodiscard]] const clock::RccState& state(int id) const {
     return states_[static_cast<std::size_t>(id)];
   }
   /// -1 when built without a boot configuration.
@@ -268,12 +232,12 @@ class WakeTable {
   }
 
  private:
-  int intern(const WakeState& w);
+  int intern(const clock::RccState& w);
 
   std::size_t rungs_ = 0;
   clock::SwitchCostParams switching_;
   power::PowerModelParams power_;
-  std::vector<WakeState> states_;
+  std::vector<clock::RccState> states_;
   int boot_ = -1;
   std::vector<int> exit_;
   std::vector<TransitionCost> cost_;  ///< state-major, rungs_ per row.

@@ -10,7 +10,7 @@ Mcu::Mcu(SimParams params)
 
 void Mcu::advance(double dt_us, power::Activity act) {
   if (dt_us <= 0.0) return;
-  const power::PowerState st = power::PowerState::from_rcc(rcc_);
+  const power::PowerState st = power::PowerState::of(rcc_.state());
   const double mw = power_model_.power_mw(st, act);
   meter_.record(time_us_, time_us_ + dt_us, mw, tag_);
   time_us_ += dt_us;

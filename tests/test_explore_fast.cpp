@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "dse/explorer.hpp"
 #include "dse/freq_replay.hpp"
@@ -167,40 +168,53 @@ TEST(ExploreFast, SharedCacheKeepsReplayAndExactEntriesApart) {
 TEST(FreqReplay, MatchesDirectSimulationToReassociationError) {
   // Profile one candidate with a ledger, replay to every other HFO of the
   // paper space, and compare against direct simulation of that HFO: the
-  // replay must agree to FP-reassociation error.
+  // replay must agree to FP-reassociation error. Two non-PLL pairs ride
+  // along: with no PLL locked, which oscillators run during LFO segments
+  // follows the active source alone (an HSE-direct HFO stops drawing the
+  // crystal while the HSI drives SYSCLK, and vice versa).
   const graph::Model m = repeated_block_model();
   const power::PowerModel pm;
   const DesignSpace ds = make_paper_design_space(pm);
+  struct Pair {
+    clock::ClockConfig lfo;
+    std::vector<clock::ClockConfig> hfos;  ///< front() is the reference.
+  };
+  const clock::ClockConfig hse50 = clock::ClockConfig::hse_direct(50.0);
+  const clock::ClockConfig hsi = clock::ClockConfig::hsi_direct();
+  const std::vector<Pair> pairs = {
+      {ds.lfo, ds.hfo_configs}, {hsi, {hse50}}, {hse50, {hsi}}};
   ExploreOptions opts;
-  for (int layer_idx : {0, 1, 2}) {   // conv (no dvfs), dw, pw
-    for (int g : m.layers()[static_cast<std::size_t>(layer_idx)]
-                         .is_dae_eligible()
-                     ? std::vector<int>{0, 4, 16}
-                     : std::vector<int>{0}) {
-      LayerSolution ref_cand;
-      ref_cand.granularity = g;
-      ref_cand.dvfs_enabled = g > 0;
-      ref_cand.hfo = ds.hfo_configs.front();
-      sim::WorkLedger ledger;
-      const LayerSolution ref = profile_candidate_isolated(
-          m, layer_idx, ref_cand, ds.lfo, opts, &ledger);
+  for (const Pair& pair : pairs) {
+    for (int layer_idx : {0, 1, 2}) {   // conv (no dvfs), dw, pw
+      for (int g : m.layers()[static_cast<std::size_t>(layer_idx)]
+                           .is_dae_eligible()
+                       ? std::vector<int>{0, 4, 16}
+                       : std::vector<int>{0}) {
+        LayerSolution ref_cand;
+        ref_cand.granularity = g;
+        ref_cand.dvfs_enabled = g > 0;
+        ref_cand.hfo = pair.hfos.front();
+        sim::WorkLedger ledger;
+        const LayerSolution ref = profile_candidate_isolated(
+            m, layer_idx, ref_cand, pair.lfo, opts, &ledger);
 
-      // Replaying at the reference HFO itself must reproduce it too.
-      for (const auto& hfo : ds.hfo_configs) {
-        LayerSolution direct_cand = ref_cand;
-        direct_cand.hfo = hfo;
-        const LayerSolution direct = profile_candidate_isolated(
-            m, layer_idx, direct_cand, ds.lfo, opts);
-        const ProfileEntry replayed =
-            replay_profile(ledger, ref.hfo, hfo, opts.sim);
-        EXPECT_NEAR(replayed.t_us, direct.t_us,
-                    std::abs(direct.t_us) * 1e-9)
-            << "layer " << layer_idx << " g=" << g << " f="
-            << hfo.sysclk_mhz();
-        EXPECT_NEAR(replayed.energy_uj, direct.energy_uj,
-                    std::abs(direct.energy_uj) * 1e-9)
-            << "layer " << layer_idx << " g=" << g << " f="
-            << hfo.sysclk_mhz();
+        // Replaying at the reference HFO itself must reproduce it too.
+        for (const auto& hfo : pair.hfos) {
+          LayerSolution direct_cand = ref_cand;
+          direct_cand.hfo = hfo;
+          const LayerSolution direct = profile_candidate_isolated(
+              m, layer_idx, direct_cand, pair.lfo, opts);
+          const ProfileEntry replayed =
+              replay_profile(ledger, ref.hfo, hfo, opts.sim);
+          EXPECT_NEAR(replayed.t_us, direct.t_us,
+                      std::abs(direct.t_us) * 1e-9)
+              << "layer " << layer_idx << " g=" << g << " "
+              << hfo.str() << " / " << pair.lfo.str();
+          EXPECT_NEAR(replayed.energy_uj, direct.energy_uj,
+                      std::abs(direct.energy_uj) * 1e-9)
+              << "layer " << layer_idx << " g=" << g << " "
+              << hfo.str() << " / " << pair.lfo.str();
+        }
       }
     }
   }

@@ -149,16 +149,26 @@ TEST(Fleet, SharedWakeTableMatchesOwnTableOnFuzzedSpecs) {
                          power::PowerModel(sim.power), sim.boot);
   SpecFeatures features;
   features.faults = true;
+  int rebooted = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     MissionSpec spec = random_mission_spec(seed, features);
     spec.horizon_s = std::min(spec.horizon_s, 3600.0);
+    // The corpus draws its resets over the uncut horizon, so few fire
+    // before 3,600 s. Resets drawn inside the cut (from their own stream,
+    // leaving the corpus as it is) make the boot rows of both tables read.
+    Xorshift64 resets(spec.seed ^ 0x7e5e7ULL);
+    for (int i = 0; i < 2; ++i) {
+      spec.faults.resets.push_back({resets.next_unit() * spec.horizon_s});
+    }
     const MissionReport with_shared =
         simulate_mission(spec, ladder, kSyntheticTBase, shared);
     const MissionReport with_own =
         simulate_mission(spec, ladder, kSyntheticTBase, sim);
     EXPECT_EQ(report_json(with_shared), report_json(with_own))
         << "spec seed " << seed;
+    if (with_own.resets > 0) ++rebooted;
   }
+  EXPECT_GT(rebooted, 0) << "no spec rebooted: the boot rows went unread";
 }
 
 TEST(Fleet, RejectsWakeTablePricedForAnotherLadder) {

@@ -106,8 +106,8 @@ TEST(Governor, AccountsForRelockOverheadWhenSwitching) {
   // From the cheapest rung, a deadline inside the transition margin of the
   // fastest rung must pick a rung whose latency *plus* transition fits.
   const int from = static_cast<int>(rungs.size()) - 1;
-  const scenario::WakeState from_exit =
-      scenario::WakeState::after(rungs[static_cast<std::size_t>(from)]);
+  const clock::RccState from_exit = clock::RccState::at(
+      rungs[static_cast<std::size_t>(from)].exit_hfo);
   const scenario::TransitionCost trans = scenario::wake_transition(
       from_exit, rungs[0], cfg.pipeline.explore.sim.switching, pm);
   scenario::FrameContext ctx;
@@ -166,7 +166,7 @@ TEST(Governor, ExactSimulationLadderMatchesFastLadder) {
 /// pre-locked (`free_wake`) wake.
 int reference_pick(const std::vector<scenario::RungInfo>& rungs,
                    const sim::SimParams& sim, const scenario::FrameContext& ctx,
-                   const std::optional<scenario::WakeState>& wake,
+                   const std::optional<clock::RccState>& wake,
                    bool free_wake) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const power::PowerModel pm(sim.power);
@@ -259,13 +259,12 @@ void expect_table_matches_source(const scenario::LadderPolicy& policy,
   const scenario::WakeTable table(rungs, sim.switching, pm, sim.boot);
 
   EXPECT_LE(table.state_count(), n + 1 + n * n);
-  EXPECT_TRUE(table.state(table.boot_id()) ==
-              scenario::WakeState::at(sim.boot));
+  EXPECT_TRUE(table.state(table.boot_id()) == clock::RccState::at(sim.boot));
   for (std::size_t to = 0; to < n; ++to) {
     const scenario::RungInfo& r = rungs[to];
     const int rung = static_cast<int>(to);
     EXPECT_TRUE(table.state(table.exit_id(rung)) ==
-                scenario::WakeState::after(r));
+                clock::RccState::at(r.exit_hfo));
     EXPECT_EQ(table.free_wake()[to].us, sim.switching.mux_switch_us);
     EXPECT_EQ(table.free_wake()[to].uj,
               sim.switching.mux_switch_us *
@@ -280,15 +279,14 @@ void expect_table_matches_source(const scenario::LadderPolicy& policy,
       EXPECT_EQ(got.uj, want.uj) << "state " << id << " -> rung " << to;
     }
     for (std::size_t from = 0; from < n; ++from) {
-      scenario::WakeState w = scenario::WakeState::after(rungs[from]);
-      const clock::SwitchCost cost = clock::background_reposition_cost(
-          sim.switching, r.entry_hfo, w.config, w.locked_pll, w.scale);
+      clock::RccState w = clock::RccState::at(rungs[from].exit_hfo);
+      const clock::SwitchCost cost =
+          clock::background_reposition_cost(sim.switching, r.entry_hfo, w);
       const scenario::WakeTable::Reposition& rp =
           table.reposition(static_cast<int>(from), rung);
       EXPECT_EQ(rp.us, cost.total_us);
       EXPECT_EQ(rp.uj, cost.total_us *
-                           pm.power_mw(power::PowerState::from_parts(
-                                           w.config, w.locked_pll, w.scale),
+                           pm.power_mw(power::PowerState::of(w),
                                        power::Activity::kMemoryStall) *
                            1e-3);
       EXPECT_TRUE(table.state(rp.to) == w);
@@ -309,9 +307,10 @@ void expect_table_matches_source(const scenario::LadderPolicy& policy,
     }
     ctx.wake_table = nullptr;
     ctx.wake_id = -1;
-    std::optional<scenario::WakeState> exit;
+    std::optional<clock::RccState> exit;
     if (prev >= 0) {
-      exit = scenario::WakeState::after(rungs[static_cast<std::size_t>(prev)]);
+      exit =
+          clock::RccState::at(rungs[static_cast<std::size_t>(prev)].exit_hfo);
     }
     ASSERT_EQ(policy.choose(ctx, prev),
               reference_pick(rungs, policy_sim, ctx, exit, false))

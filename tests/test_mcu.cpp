@@ -115,7 +115,7 @@ TEST(Mcu, TagsAttributeEnergy) {
 TEST(Mcu, EnergyAccumulatesEndMinusBeginBitForBit) {
   Mcu mcu(params_at(kHfo216));
   const double mw = mcu.power_model().power_mw(
-      power::PowerState::from_rcc(mcu.rcc()), power::Activity::kCompute);
+      power::PowerState::of(mcu.rcc().state()), power::Activity::kCompute);
   mcu.compute(1e5);
   const double t1 = mcu.time_us();
   const double dt2 = 12345.0 / mcu.sysclk_mhz();

@@ -66,14 +66,14 @@ TEST(PowerModel, CalibrationBand) {
 TEST(PowerState, FromRccTracksLockedPll) {
   clock::Rcc rcc(kHfo216);
   rcc.switch_to(kLfo50);
-  const PowerState st = PowerState::from_rcc(rcc);
+  const PowerState st = PowerState::of(rcc.state());
   EXPECT_TRUE(st.pll_running) << "PLL keeps running while muxed to HSE";
   EXPECT_DOUBLE_EQ(st.vco_mhz, 432.0);
   EXPECT_DOUBLE_EQ(st.sysclk_mhz, 50.0);
   EXPECT_TRUE(st.hse_running);
 
   rcc.stop_pll();
-  const PowerState st2 = PowerState::from_rcc(rcc);
+  const PowerState st2 = PowerState::of(rcc.state());
   EXPECT_FALSE(st2.pll_running);
 
   PowerModel pm;

@@ -71,15 +71,15 @@ TEST(Rcc, ChangingHfoRelocks) {
   const SwitchCost c = rcc.switch_to(kHfo168);
   EXPECT_TRUE(c.pll_relocked);
   EXPECT_EQ(rcc.stats().pll_relocks, 1u);
-  EXPECT_EQ(*rcc.locked_pll(), *kHfo168.pll);
+  EXPECT_EQ(*rcc.state().locked_pll, *kHfo168.pll);
 }
 
 TEST(Rcc, VoltageScaleRaisedBeforeRunningFaster) {
   Rcc rcc(ClockConfig::hse_direct(50.0));  // Scale3 at boot
-  EXPECT_EQ(rcc.voltage_scale(), VoltageScale::kScale3);
+  EXPECT_EQ(rcc.state().scale, VoltageScale::kScale3);
   const SwitchCost c = rcc.switch_to(kHfo216);
   EXPECT_TRUE(c.vos_changed);
-  EXPECT_EQ(rcc.voltage_scale(), VoltageScale::kScale1OverDrive);
+  EXPECT_EQ(rcc.state().scale, VoltageScale::kScale1OverDrive);
 }
 
 TEST(Rcc, VoltageScaleNotLoweredOnMuxToggle) {
@@ -87,7 +87,7 @@ TEST(Rcc, VoltageScaleNotLoweredOnMuxToggle) {
   rcc.switch_to(kLfo);
   // 50 MHz would allow Scale3, but an intra-layer toggle must not wait the
   // regulator settle time — the scale stays pinned.
-  EXPECT_EQ(rcc.voltage_scale(), VoltageScale::kScale1OverDrive);
+  EXPECT_EQ(rcc.state().scale, VoltageScale::kScale1OverDrive);
 }
 
 TEST(Rcc, VoltageScaleLoweredOnRelock) {
@@ -95,7 +95,7 @@ TEST(Rcc, VoltageScaleLoweredOnRelock) {
   const SwitchCost c = rcc.switch_to(kHfo108);  // 108 MHz needs only Scale3
   EXPECT_TRUE(c.pll_relocked);
   EXPECT_TRUE(c.vos_changed);
-  EXPECT_EQ(rcc.voltage_scale(), VoltageScale::kScale3);
+  EXPECT_EQ(rcc.state().scale, VoltageScale::kScale3);
 }
 
 TEST(Rcc, StopPllRequiresMuxAway) {
