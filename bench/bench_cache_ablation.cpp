@@ -93,9 +93,10 @@ int main() {
          "misses because one gather pass serves more channels per touched\n"
          "input line, while the streamed gather buffer has unit reuse and\n"
          "never thrashes — so the paper's miss blow-up at very high g does\n"
-         "not reproduce here (see EXPERIMENTS.md A2). What bounds g instead\n"
-         "is the SRAM scratch footprint (buffer column above vs the ~100 KB\n"
-         "budget the explorer enforces) and the flat latency tail: beyond\n"
-         "g~8 the returns vanish while the buffer keeps growing.\n";
+         "not reproduce here (see the L1 miss-rate columns above). What\n"
+         "bounds g instead is the SRAM scratch footprint (buffer column\n"
+         "above vs the ~100 KB budget the explorer enforces) and the flat\n"
+         "latency tail: beyond g~8 the returns vanish while the buffer keeps\n"
+         "growing.\n";
   return 0;
 }

@@ -20,7 +20,6 @@ double measured_power_mw(const clock::ClockConfig& cfg) {
   sim::SimParams params;
   params.boot = cfg;
   sim::Mcu mcu(params);
-  mcu.set_tag("addition-loop");
   constexpr double kAdditions = 5e6;
   mcu.compute(kAdditions);  // 1 add = 1 cycle
   return mcu.energy_uj() / mcu.time_us() * 1000.0;

@@ -77,8 +77,8 @@ int main() {
               << "% total / "
               << 100.0 * (mbv2_inf10 - mbv2_inf50) / mbv2_inf10
               << "% inference-only (paper: 20.4%; on the LDO-fed board the\n"
-                 "  window-filling idle energy masks most of the drop — see "
-                 "EXPERIMENTS.md E6)\n";
+                 "  window-filling idle energy masks most of the drop, as the\n"
+                 "  total vs inference-only figures show)\n";
   }
   return 0;
 }

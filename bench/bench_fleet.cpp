@@ -9,7 +9,7 @@
 //                         >= 8 cores are available, a no-regression floor
 //                         when fewer — CI re-derives the formula from the
 //                         recorded core count, scripts/check_bench_gates.py);
-//   * soa_no_regression — one fleet thread vs the serial loop: the fleet
+//   * batch_no_regression — one fleet thread vs the serial loop: the fleet
 //                         path may not cost more than 25% overhead per
 //                         mission (it runs the same simulate_mission, with
 //                         one wake table per class instead of per mission);
@@ -228,8 +228,8 @@ int main(int argc, char** argv) {
   // No-regression: the 1-thread fleet runs the same missions through the
   // same engine; per-mission cost may not regress past 25% (it is usually
   // a little faster: one wake table per class, not one per mission).
-  const double soa_ratio = serial_ms > 0.0 ? fleet1_ms / serial_ms : 0.0;
-  const bool soa_no_regression = soa_ratio <= 1.25;
+  const double batch_ratio = serial_ms > 0.0 ? fleet1_ms / serial_ms : 0.0;
+  const bool batch_no_regression = batch_ratio <= 1.25;
 
   bool survival_monotone = !report8.survival.empty();
   std::uint64_t prev_alive = report8.nodes;
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
      << "  },\n"
      << "  \"speedup\": " << speedup << ",\n"
      << "  \"required_speedup\": " << required << ",\n"
-     << "  \"soa_per_mission_ratio\": " << soa_ratio << ",\n"
+     << "  \"batch_per_mission_ratio\": " << batch_ratio << ",\n"
      << "  \"depleted\": " << report8.depleted << ",\n"
      << "  \"fleet_availability\": " << report8.fleet_availability() << ",\n"
      << "  \"fleet_pareto\":\n";
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
   metrics.write_json(os, 2);
   os << ",\n"
      << "  \"speedup_ok\": " << util::json_bool(speedup_ok) << ",\n"
-     << "  \"soa_no_regression\": " << util::json_bool(soa_no_regression)
+     << "  \"batch_no_regression\": " << util::json_bool(batch_no_regression)
      << ",\n"
      << "  \"thread_invariant\": " << util::json_bool(thread_invariant)
      << ",\n"
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
      << "\n}\n";
   os.close();
 
-  const bool ok = speedup_ok && soa_no_regression && thread_invariant &&
+  const bool ok = speedup_ok && batch_no_regression && thread_invariant &&
                   serial_fleet_agree && ladder_cache_reused &&
                   survival_monotone && availability_bounds_ok &&
                   front_nonempty && metrics_ok;
@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
             << " ms, fleet8: " << fleet8_ms << " ms (" << effective_threads
             << " effective threads)\n"
             << "speedup: " << speedup << "x (required " << required
-            << "), soa ratio " << soa_ratio << ", thread-invariant "
+            << "), batch ratio " << batch_ratio << ", thread-invariant "
             << (thread_invariant ? "yes" : "NO") << ", depleted "
             << report8.depleted << "/" << report8.nodes << " -> " << out_path
             << "\n";

@@ -21,7 +21,7 @@ For BENCH_fleet.json the script additionally re-derives the hardware-scaled
 speedup requirement from the recorded core count (the same formula
 bench_fleet.cpp applies: 4x when >= 8 effective threads, otherwise
 max(0.85, 0.45 * effective)) and recomputes speedup_ok /
-soa_no_regression from the raw numbers, so a hand-edited verdict cannot
+batch_no_regression from the raw numbers, so a hand-edited verdict cannot
 disagree with the measurements it claims to summarize.
 
 For BENCH_scenario.json it re-derives the mission_v5 duty-cycling verdicts
@@ -47,7 +47,7 @@ SKIP_ARRAYS = {"policies", "fault_policies", "pareto", "availability_pareto",
 # the 1e-6 rounding step but far below any real dominance margin).
 REL_EPS = 1e-5
 
-SOA_MAX_RATIO = 1.25  # mirrored from bench_fleet.cpp
+BATCH_MAX_RATIO = 1.25  # mirrored from bench_fleet.cpp
 
 
 def fleet_required_speedup(effective_threads):
@@ -68,10 +68,10 @@ def check_fleet_derivations(doc):
         if doc["speedup_ok"] != (doc["speedup"] >= doc["required_speedup"]):
             yield (f"speedup_ok inconsistent with speedup "
                    f"{doc['speedup']} vs required {doc['required_speedup']}")
-        if doc["soa_no_regression"] != (
-                doc["soa_per_mission_ratio"] <= SOA_MAX_RATIO):
-            yield (f"soa_no_regression inconsistent with ratio "
-                   f"{doc['soa_per_mission_ratio']} (max {SOA_MAX_RATIO})")
+        if doc["batch_no_regression"] != (
+                doc["batch_per_mission_ratio"] <= BATCH_MAX_RATIO):
+            yield (f"batch_no_regression inconsistent with ratio "
+                   f"{doc['batch_per_mission_ratio']} (max {BATCH_MAX_RATIO})")
     except (KeyError, TypeError, ValueError) as err:
         yield f"fleet derivation fields missing/malformed ({err!r})"
 

@@ -21,8 +21,8 @@ Rcc::Rcc(ClockConfig boot, SwitchCostParams params)
 
 SwitchCost apply_switch_policy(const SwitchCostParams& params,
                                RccState& state, const ClockConfig& to) {
+  if (state.config == to) return {};  // no-op switch
   SwitchCost cost = switch_cost(params, state.config, to, state.locked_pll);
-  if (cost.total_us == 0.0) return cost;  // no-op switch
 
   // Regulator-scale policy: raising the scale is mandatory before running
   // faster; lowering it is only worthwhile on "slow" transitions (PLL
@@ -80,8 +80,8 @@ SwitchCost Rcc::switch_to(const ClockConfig& target) {
   if (auto err = target.validation_error()) {
     throw std::invalid_argument("invalid clock config: " + *err);
   }
+  if (state_.config == target) return {};  // no-op switch
   const SwitchCost cost = apply_switch_policy(params_, state_, target);
-  if (cost.total_us == 0.0) return cost;  // no-op switch
 
   ++stats_.switches;
   if (cost.pll_relocked) ++stats_.pll_relocks;

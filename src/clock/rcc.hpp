@@ -34,8 +34,8 @@ struct RccState {
 /// switch cost of `state.config -> to` (mux/relock via switch_cost) plus the
 /// regulator-scale rule (raising the scale is mandatory before running
 /// faster; lowering it only rides a relock), advancing `state` in place.
-/// A no-op switch (zero cost) leaves `state` untouched. Rcc::switch_to runs
-/// exactly this.
+/// Only `state.config == to` is a no-op (free, `state` untouched), even
+/// with zero cost parameters. Rcc::switch_to runs exactly this.
 [[nodiscard]] SwitchCost apply_switch_policy(const SwitchCostParams& params,
                                              RccState& state,
                                              const ClockConfig& to);

@@ -89,12 +89,11 @@ struct ScheduleLedger {
   std::vector<sim::CacheSim> entry_caches;
   /// Post-inference state of the recording. Its time, energy, clock and
   /// cache state are bitwise runtime::simulate_schedule's — the layer-entry
-  /// switches run outside the ledgers but on the same timeline; only their
-  /// per-tag energy attribution differs — so time_us()/energy_uj() are the
-  /// schedule's exact simulated totals and the state can seed a run memo or
-  /// close an iso-latency window. Describes the *original* recording;
-  /// granularity patches do not update it (callers re-measure via
-  /// replay_schedule).
+  /// switches run outside the ledgers but on the same timeline — so
+  /// time_us()/energy_uj() are the schedule's exact simulated totals and the
+  /// state can seed a run memo or close an iso-latency window. Describes the
+  /// *original* recording; granularity patches do not update it (callers
+  /// re-measure via replay_schedule).
   sim::Mcu end;
 };
 

@@ -12,7 +12,6 @@ IsoLatencyResult close_window(sim::Mcu& mcu, double t0_us, double e0_uj,
   r.inference_uj = mcu.energy_uj() - e0_uj;
   r.met_qos = r.inference_us <= qos_us + 1e-6;
 
-  mcu.set_tag("idle");
   const double e1 = mcu.energy_uj();
   mcu.idle_until(t0_us + qos_us, gated_idle);
   r.idle_us = mcu.time_us() - (t0_us + r.inference_us);

@@ -14,33 +14,25 @@
 namespace daedvfs::runtime {
 namespace {
 
-/// DVFS policy that also re-tags the energy meter at segment boundaries so
-/// memory-segment energy is attributable per layer (paper §III-B profiling).
-class TaggingPolicy final : public kernels::DvfsPolicy {
+/// DVFS policy of one DAE layer: memory segments run at the plan's LFO,
+/// compute segments at its HFO.
+class DaeClockPolicy final : public kernels::DvfsPolicy {
  public:
-  TaggingPolicy(std::string base_tag, bool dvfs, clock::ClockConfig lfo,
-                clock::ClockConfig hfo)
-      : base_(std::move(base_tag)),
-        dvfs_(dvfs),
-        lfo_(std::move(lfo)),
-        hfo_(std::move(hfo)) {}
+  DaeClockPolicy(bool dvfs, const clock::ClockConfig& lfo,
+                 const clock::ClockConfig& hfo)
+      : dvfs_(dvfs), lfo_(lfo), hfo_(hfo) {}
 
   void enter_memory_segment(sim::Mcu& mcu) override {
-    mcu.set_tag(base_ + "/mem");
     if (dvfs_) mcu.switch_clock(lfo_);
   }
   void enter_compute_segment(sim::Mcu& mcu) override {
-    // The switch back to HFO is charged to the memory segment: it is part
-    // of the decoupling overhead, not of the convolution itself.
     if (dvfs_) mcu.switch_clock(hfo_);
-    mcu.set_tag(base_ + "/cmp");
   }
 
  private:
-  std::string base_;
   bool dvfs_;
-  clock::ClockConfig lfo_;
-  clock::ClockConfig hfo_;
+  const clock::ClockConfig& lfo_;
+  const clock::ClockConfig& hfo_;
 };
 
 }  // namespace
@@ -157,12 +149,10 @@ void InferenceEngine::execute_layer(sim::Mcu& mcu, int layer_idx,
                                     kernels::ExecContext& ctx) const {
   const graph::LayerSpec& layer =
       model_.layers().at(static_cast<std::size_t>(layer_idx));
-  const std::string tag = "L" + std::to_string(layer_idx);
-  mcu.set_tag(tag + "/cmp");
   mcu.switch_clock(plan.hfo);
 
   const int g = layer.is_dae_eligible() ? plan.granularity : 0;
-  TaggingPolicy policy(tag, plan.dvfs_enabled && g > 0, plan.lfo, plan.hfo);
+  DaeClockPolicy policy(plan.dvfs_enabled && g > 0, plan.lfo, plan.hfo);
 
   ctx.mcu = &mcu;
   ctx.mode = mode;
@@ -194,9 +184,7 @@ LayerProfile InferenceEngine::run_layer_in(sim::Mcu& mcu, int layer_idx,
                                            kernels::ExecContext& ctx) const {
   const graph::LayerSpec& layer =
       model_.layers().at(static_cast<std::size_t>(layer_idx));
-  const std::string mem_tag = "L" + std::to_string(layer_idx) + "/mem";
   const sim::McuSnapshot before = mcu.snapshot();
-  const double mem_before = mcu.meter().tag_uj(mem_tag);
 
   execute_layer(mcu, layer_idx, plan, mode, ctx);
 
@@ -207,7 +195,6 @@ LayerProfile InferenceEngine::run_layer_in(sim::Mcu& mcu, int layer_idx,
   p.kind = layer.kind;
   p.t_us = after.time_us - before.time_us;
   p.energy_uj = after.energy_uj - before.energy_uj;
-  p.mem_segment_uj = mcu.meter().tag_uj(mem_tag) - mem_before;
   p.avg_power_mw = p.t_us > 0.0 ? p.energy_uj / p.t_us * 1000.0 : 0.0;
   p.cache_misses = after.cache.misses - before.cache.misses;
   p.clock_switches = after.rcc.switches - before.rcc.switches;

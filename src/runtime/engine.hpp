@@ -1,8 +1,7 @@
 // The inference engine: executes a graph::Model on a sim::Mcu under a
 // Schedule, producing per-layer latency/energy profiles — the "custom
 // run-time monitoring mechanism" of the paper (§III-B): timers triggered
-// between layer code segments, power attributed per layer and per DAE
-// segment.
+// between layer code segments, energy attributed per layer.
 //
 // Activation tensors live in a tensor::Arena mapped at the simulated SRAM
 // base, so cache behaviour is deterministic and independent of host layout.
@@ -31,7 +30,6 @@ struct LayerProfile {
   graph::LayerKind kind = graph::LayerKind::kConv2d;
   double t_us = 0.0;
   double energy_uj = 0.0;
-  double mem_segment_uj = 0.0;  ///< Energy attributed to LFO/memory segments.
   double avg_power_mw = 0.0;
   uint64_t cache_misses = 0;
   uint64_t clock_switches = 0;

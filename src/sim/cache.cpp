@@ -1,23 +1,32 @@
 #include "sim/cache.hpp"
 
-#include <cassert>
+#include <bit>
+#include <stdexcept>
 
 namespace daedvfs::sim {
 
 CacheSim::CacheSim(CacheConfig cfg) : cfg_(cfg) {
-  assert(cfg_.num_sets() > 0);
+  // The 64-bit product keeps num_sets() from dividing by a wrapped zero.
+  if (cfg.ways == 0 || !std::has_single_bit(cfg.line_bytes) ||
+      uint64_t{cfg.line_bytes} * cfg.ways > cfg.size_bytes ||
+      !std::has_single_bit(cfg.num_sets())) {
+    throw std::invalid_argument(
+        "cache needs >= 1 way and a power-of-two line size and set count");
+  }
+  line_shift_ = static_cast<uint8_t>(std::countr_zero(cfg.line_bytes));
+  set_shift_ = static_cast<uint8_t>(std::countr_zero(cfg.num_sets()));
   lines_.resize(static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways);
 }
 
 AccessResult CacheSim::access(uint64_t vaddr, uint64_t bytes, bool is_write) {
   AccessResult res;
   if (bytes == 0) return res;
-  const uint64_t line = cfg_.line_bytes;
-  const uint64_t first = vaddr / line;
-  const uint64_t last = (vaddr + bytes - 1) / line;
+  const uint64_t set_mask = (uint64_t{1} << set_shift_) - 1;
+  const uint64_t first = vaddr >> line_shift_;
+  const uint64_t last = (vaddr + bytes - 1) >> line_shift_;
   for (uint64_t ln = first; ln <= last; ++ln) {
-    const uint32_t set = static_cast<uint32_t>(ln % cfg_.num_sets());
-    const uint64_t tag = ln / cfg_.num_sets();
+    const auto set = static_cast<uint32_t>(ln & set_mask);
+    const uint64_t tag = ln >> set_shift_;
     Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
     ++res.lines;
     ++stats_.accesses;
@@ -66,8 +75,8 @@ AccessResult CacheSim::access_strided(uint64_t vaddr, uint64_t stride,
   uint64_t prev_line = ~0ull;
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t a = vaddr + static_cast<uint64_t>(i) * stride;
-    const uint64_t first = a / cfg_.line_bytes;
-    const uint64_t last = (a + elem_bytes - 1) / cfg_.line_bytes;
+    const uint64_t first = a >> line_shift_;
+    const uint64_t last = (a + elem_bytes - 1) >> line_shift_;
     if (first == prev_line && last == prev_line) continue;
     const AccessResult r = access(a, elem_bytes, is_write);
     total.lines += r.lines;

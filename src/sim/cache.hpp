@@ -45,6 +45,8 @@ struct AccessResult {
 
 class CacheSim {
  public:
+  /// Throws std::invalid_argument unless `cfg.ways` is positive and
+  /// `cfg.line_bytes` and `cfg.num_sets()` are nonzero powers of two.
   explicit CacheSim(CacheConfig cfg = {});
 
   /// Touches [vaddr, vaddr + bytes); returns per-call hit/miss counts.
@@ -78,6 +80,8 @@ class CacheSim {
   };
 
   CacheConfig cfg_;
+  uint8_t line_shift_ = 0;  ///< log2(line_bytes); fills cfg_'s tail padding.
+  uint8_t set_shift_ = 0;   ///< log2(num_sets).
   std::vector<Line> lines_;  ///< sets * ways, row-major by set.
   uint64_t use_stamp_ = 0;
   CacheStats stats_;

@@ -10,9 +10,14 @@ Mcu::Mcu(SimParams params)
 
 void Mcu::advance(double dt_us, power::Activity act) {
   if (dt_us <= 0.0) return;
-  const power::PowerState st = power::PowerState::of(rcc_.state());
-  const double mw = power_model_.power_mw(st, act);
-  meter_.record(time_us_, time_us_ + dt_us, mw, tag_);
+  const auto a = static_cast<std::size_t>(act);
+  const auto bit = static_cast<uint8_t>(1u << a);
+  if ((power_valid_ & bit) == 0) {
+    power_mw_[a] =
+        power_model_.power_mw(power::PowerState::of(rcc_.state()), act);
+    power_valid_ |= bit;
+  }
+  meter_.record(time_us_, time_us_ + dt_us, power_mw_[a]);
   time_us_ += dt_us;
 }
 
@@ -121,6 +126,7 @@ void Mcu::charge_memory(double issue_cycles, double stall_ns) {
 
 clock::SwitchCost Mcu::switch_clock(const clock::ClockConfig& target) {
   const clock::SwitchCost cost = rcc_.switch_to(target);
+  power_valid_ = 0;
   if (ledger_ != nullptr && cost.total_us > 0.0) {
     WorkLedger::Domain& d = ledger_->domain(rcc_.current());
     ++d.switches_in;

@@ -8,8 +8,8 @@
 // (docs/architecture.md, `sim/`). Everything is deterministic.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "clock/rcc.hpp"
@@ -127,17 +127,18 @@ class Mcu {
   [[nodiscard]] double energy_uj() const { return meter_.total_uj(); }
   [[nodiscard]] double sysclk_mhz() const { return rcc_.sysclk_mhz(); }
   [[nodiscard]] const clock::Rcc& rcc() const { return rcc_; }
-  [[nodiscard]] clock::Rcc& rcc() { return rcc_; }
+  /// Mutable access may change the clock tree behind switch_clock's back
+  /// (e.g. Rcc::stop_pll), so it drops the power memo.
+  [[nodiscard]] clock::Rcc& rcc() {
+    power_valid_ = 0;
+    return rcc_;
+  }
   [[nodiscard]] const CacheSim& cache() const { return cache_; }
   [[nodiscard]] CacheSim& cache() { return cache_; }
   [[nodiscard]] const power::PowerModel& power_model() const {
     return power_model_;
   }
-  [[nodiscard]] power::EnergyMeter& meter() { return meter_; }
   [[nodiscard]] const SimParams& params() const { return params_; }
-
-  /// Attribution tag stamped on subsequent energy records (e.g. "L03/mem").
-  void set_tag(std::string tag) { tag_ = std::move(tag); }
 
   /// Attaches a work ledger recording per-clock-domain totals of every
   /// subsequent event (nullptr detaches). Used by the DSE frequency replay.
@@ -163,8 +164,14 @@ class Mcu {
   power::PowerModel power_model_;
   power::EnergyMeter meter_;
   double time_us_ = 0.0;
-  std::string tag_ = "boot";
   WorkLedger* ledger_ = nullptr;
+  /// power_mw per Activity at the current clock state (bit a of
+  /// power_valid_ marks entry a); power_mw is a pure function of that state,
+  /// so an entry is the double advance() would recompute.
+  std::array<double,
+             static_cast<std::size_t>(power::Activity::kIdleClockGated) + 1>
+      power_mw_{};
+  uint8_t power_valid_ = 0;
 };
 
 }  // namespace daedvfs::sim

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sim/cache.hpp"
 
@@ -11,6 +14,25 @@ namespace {
 TEST(Cache, Geometry) {
   CacheSim c;  // 16 KB / 32 B / 4-way = 128 sets
   EXPECT_EQ(c.config().num_sets(), 128u);
+}
+
+TEST(Cache, RejectsNonPowerOfTwoGeometry) {
+  // 24-byte lines and a 3-way 16 KB cache (170 sets) cannot be indexed by
+  // shift and mask; neither can a zero line, zero ways or zero sets.
+  EXPECT_THROW(CacheSim({16 * 1024, 24, 4}), std::invalid_argument);
+  EXPECT_THROW(CacheSim({16 * 1024, 32, 3}), std::invalid_argument);
+  EXPECT_THROW(CacheSim({16 * 1024, 0, 4}), std::invalid_argument);
+  EXPECT_THROW(CacheSim({16 * 1024, 32, 0}), std::invalid_argument);
+  EXPECT_THROW(CacheSim({64, 32, 4}), std::invalid_argument);
+  EXPECT_THROW(CacheSim({16 * 1024, 1u << 31, 2}), std::invalid_argument);
+  // The default geometry and each of its doublings stay accepted.
+  const CacheConfig def;
+  EXPECT_NO_THROW(CacheSim{def});
+  EXPECT_NO_THROW(CacheSim({2 * def.size_bytes, def.line_bytes, def.ways}));
+  EXPECT_NO_THROW(CacheSim({def.size_bytes, 2 * def.line_bytes, def.ways}));
+  EXPECT_NO_THROW(CacheSim({def.size_bytes, def.line_bytes, 2 * def.ways}));
+  // Associativity itself need not be a power of two.
+  EXPECT_NO_THROW(CacheSim({12 * 1024, 32, 3}));
 }
 
 TEST(Cache, ColdMissThenHit) {
@@ -142,6 +164,180 @@ TEST(Cache, StatsInvariants) {
   EXPECT_GE(st.miss_rate(), 0.0);
   EXPECT_LE(st.miss_rate(), 1.0);
 }
+
+/// Division-based reference of the documented cache: set = line % sets,
+/// tag = line / sets, way scan preferring the last invalid way, else the
+/// least-recently-used one; write-allocate, write-back.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(CacheConfig cfg)
+      : cfg_(cfg), lines_(std::size_t{cfg.num_sets()} * cfg.ways) {}
+
+  AccessResult access(uint64_t vaddr, uint64_t bytes, bool is_write) {
+    AccessResult res;
+    if (bytes == 0) return res;
+    const uint64_t sets = cfg_.num_sets();
+    for (uint64_t ln = vaddr / cfg_.line_bytes;
+         ln <= (vaddr + bytes - 1) / cfg_.line_bytes; ++ln) {
+      Line* base = &lines_[(ln % sets) * cfg_.ways];
+      const uint64_t tag = ln / sets;
+      ++res.lines;
+      ++stats_.accesses;
+      Line* hit = nullptr;
+      Line* victim = &base[0];
+      for (uint32_t w = 0; w < cfg_.ways; ++w) {
+        Line& l = base[w];
+        if (l.valid && l.tag == tag) {
+          hit = &l;
+          break;
+        }
+        if (!l.valid) {
+          victim = &l;
+        } else if (victim->valid && l.lru < victim->lru) {
+          victim = &l;
+        }
+      }
+      if (hit != nullptr) {
+        ++res.hits;
+        ++stats_.hits;
+        hit->lru = ++stamp_;
+        hit->dirty = hit->dirty || is_write;
+        continue;
+      }
+      ++res.misses;
+      ++stats_.misses;
+      if (victim->valid && victim->dirty) {
+        ++res.writebacks;
+        ++stats_.writebacks;
+      }
+      *victim = {tag, ++stamp_, true, is_write};
+    }
+    return res;
+  }
+
+  AccessResult access_strided(uint64_t vaddr, uint64_t stride, uint32_t count,
+                              uint64_t elem_bytes, bool is_write) {
+    AccessResult total;
+    uint64_t prev_line = ~0ull;
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint64_t a = vaddr + i * stride;
+      const uint64_t first = a / cfg_.line_bytes;
+      const uint64_t last = (a + elem_bytes - 1) / cfg_.line_bytes;
+      if (first == prev_line && last == prev_line) continue;
+      const AccessResult r = access(a, elem_bytes, is_write);
+      total.lines += r.lines;
+      total.hits += r.hits;
+      total.misses += r.misses;
+      total.writebacks += r.writebacks;
+      prev_line = last;
+    }
+    return total;
+  }
+
+  /// CacheSim::state_fingerprint's documented hash: FNV-1a over the ways in
+  /// order, (valid | dirty | LRU rank) then tag per valid way, 0 otherwise.
+  [[nodiscard]] uint64_t fingerprint() const {
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+      }
+    };
+    for (std::size_t set = 0; set < cfg_.num_sets(); ++set) {
+      const Line* base = &lines_[set * cfg_.ways];
+      for (uint32_t w = 0; w < cfg_.ways; ++w) {
+        if (!base[w].valid) {
+          mix(0);
+          continue;
+        }
+        uint64_t rank = 0;
+        for (uint32_t v = 0; v < cfg_.ways; ++v) {
+          if (base[v].valid && base[v].lru < base[w].lru) ++rank;
+        }
+        mix(1 | (base[w].dirty ? 2 : 0) | (rank << 2));
+        mix(base[w].tag);
+      }
+    }
+    return h;
+  }
+
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Line {
+    uint64_t tag = 0;
+    uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  CacheConfig cfg_;
+  std::vector<Line> lines_;
+  uint64_t stamp_ = 0;
+  CacheStats stats_;
+};
+
+void expect_same(const AccessResult& a, const AccessResult& b) {
+  EXPECT_EQ(a.lines, b.lines);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+}
+
+/// Differential: the shift/mask CacheSim against the division reference
+/// over a seeded stream of plain and strided reads and writes — addresses
+/// low and high (tag bits above 32), spans across lines, strides below and
+/// above the line size, 1-4 byte elements. Every call's result, the
+/// cumulative stats and the behavioral fingerprint must agree.
+class CacheDifferential : public ::testing::TestWithParam<CacheConfig> {};
+
+TEST_P(CacheDifferential, MatchesDivisionReference) {
+  const CacheConfig cfg = GetParam();
+  CacheSim sim(cfg);
+  ReferenceCache ref(cfg);
+  std::mt19937_64 rng(0x5eed + cfg.size_bytes + cfg.line_bytes + cfg.ways);
+  const uint64_t span = 4ull * cfg.size_bytes;
+  std::uniform_int_distribution<uint64_t> offset(0, span);
+  std::uniform_int_distribution<uint64_t> bytes(0, 3ull * cfg.line_bytes);
+  std::uniform_int_distribution<uint64_t> stride(1, 3ull * cfg.line_bytes);
+  std::uniform_int_distribution<uint32_t> count(0, 48);
+  std::uniform_int_distribution<uint64_t> elem(1, 4);
+  std::uniform_int_distribution<int> coin(0, 3);
+  const uint64_t bases[] = {0x0800'0000ull, 0x2002'0000ull,
+                            0x0000'0123'4567'8000ull};
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t addr = bases[coin(rng) % 3] + offset(rng);
+    const bool is_write = coin(rng) == 0;
+    if (coin(rng) < 2) {
+      const uint64_t n = bytes(rng);
+      expect_same(sim.access(addr, n, is_write), ref.access(addr, n, is_write));
+    } else {
+      const uint64_t st = stride(rng);
+      const uint32_t c = count(rng);
+      const uint64_t e = elem(rng);
+      expect_same(sim.access_strided(addr, st, c, e, is_write),
+                  ref.access_strided(addr, st, c, e, is_write));
+    }
+    ASSERT_EQ(sim.stats().accesses, ref.stats().accesses) << "call " << i;
+    ASSERT_EQ(sim.stats().hits, ref.stats().hits) << "call " << i;
+    ASSERT_EQ(sim.stats().misses, ref.stats().misses) << "call " << i;
+    ASSERT_EQ(sim.stats().writebacks, ref.stats().writebacks) << "call " << i;
+    ASSERT_EQ(sim.state_fingerprint(), ref.fingerprint()) << "call " << i;
+  }
+  EXPECT_GT(sim.stats().hits, 0u);
+  EXPECT_GT(sim.stats().writebacks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(CacheConfig{}, CacheConfig{2 * 1024, 16, 2},
+                      CacheConfig{4 * 1024, 64, 1},
+                      CacheConfig{3 * 1024, 32, 3}),
+    [](const ::testing::TestParamInfo<CacheConfig>& info) {
+      const CacheConfig& c = info.param;
+      return std::to_string(c.size_bytes) + "B_" +
+             std::to_string(c.line_bytes) + "line_" + std::to_string(c.ways) +
+             "way";
+    });
 
 }  // namespace
 }  // namespace daedvfs::sim

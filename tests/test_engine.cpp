@@ -141,7 +141,7 @@ TEST(Engine, FullAndTimingModesAgreeOnCost) {
   }
 }
 
-TEST(Engine, DvfsScheduleTogglesClocksAndAttributesMemEnergy) {
+TEST(Engine, DvfsScheduleTogglesClocks) {
   const graph::Model m = tiny_model();
   Schedule s = make_uniform_schedule(m, kHfo216);
   for (auto& plan : s.plans) {
@@ -154,8 +154,6 @@ TEST(Engine, DvfsScheduleTogglesClocksAndAttributesMemEnergy) {
   const auto& dw = r.layers[1];  // depthwise layer
   EXPECT_EQ(dw.kind, graph::LayerKind::kDepthwise);
   EXPECT_GT(dw.clock_switches, 0u);
-  EXPECT_GT(dw.mem_segment_uj, 0.0);
-  EXPECT_LT(dw.mem_segment_uj, dw.energy_uj);
   // Non-eligible layers must not toggle even when the plan asks for DAE.
   const auto& add = r.layers[3];
   EXPECT_EQ(add.kind, graph::LayerKind::kAdd);

@@ -1,5 +1,5 @@
 // Unit tests for the virtual STM32F767ZI (sim/mcu): timeline advancement,
-// energy integration, clock switching, idling, tagging.
+// energy integration, clock switching, idling, the per-activity power memo.
 #include <gtest/gtest.h>
 
 #include "sim/mcu.hpp"
@@ -96,18 +96,6 @@ TEST(Mcu, IdleUntilFillsWindowAndGatingIsCheaper) {
   EXPECT_NEAR(plain.time_us(), 1000.0, 1e-9);
 }
 
-TEST(Mcu, TagsAttributeEnergy) {
-  Mcu mcu(params_at(kHfo216));
-  mcu.set_tag("phase-a");
-  mcu.compute(1e5);
-  mcu.set_tag("phase-b");
-  mcu.compute(2e5);
-  EXPECT_NEAR(mcu.meter().tag_uj("phase-b"),
-              2.0 * mcu.meter().tag_uj("phase-a"), 1e-6);
-  EXPECT_NEAR(mcu.meter().tag_uj("phase-a") + mcu.meter().tag_uj("phase-b"),
-              mcu.energy_uj(), 1e-9);
-}
-
 // Energy is accumulated as mw * (t_end - t_begin) * 1e-3 per interval, with
 // t_end = t_begin + dt. Folding the meter into the timeline as mw * dt * 1e-3
 // looks equivalent but rounds differently and moves the deploy and fleet
@@ -160,6 +148,74 @@ TEST(Mcu, DeterministicAcrossRuns) {
     return std::pair{mcu.time_us(), mcu.energy_uj()};
   };
   EXPECT_EQ(run(), run());
+}
+
+// Switching through the mutable rcc() accessor (as bench_switch_overhead
+// positions its clocks) bypasses switch_clock(); the next event must still be
+// priced at the new clock-tree state, not at a memoized pre-switch power.
+TEST(Mcu, MutableRccAccessDropsPowerMemo) {
+  Mcu mcu(params_at(kHfo216));
+  const Mcu& view = mcu;
+  const auto power_now = [&](power::Activity act) {
+    return view.power_model().power_mw(
+        power::PowerState::of(view.rcc().state()), act);
+  };
+  mcu.compute(1e4);  // memoizes compute power at 216 MHz
+  const double mw_216 = power_now(power::Activity::kCompute);
+
+  mcu.rcc().switch_to(kLfo);
+  const double mw_lfo = power_now(power::Activity::kCompute);
+  ASSERT_NE(mw_lfo, mw_216);
+  double t0 = mcu.time_us(), e0 = mcu.energy_uj();
+  mcu.compute(777.0);
+  EXPECT_EQ(mcu.energy_uj(), e0 + mw_lfo * (mcu.time_us() - t0) * 1e-3);
+
+  // Stopping the PLL changes power without any switch at all.
+  mcu.rcc().stop_pll();
+  const double mw_off = power_now(power::Activity::kCompute);
+  ASSERT_LT(mw_off, mw_lfo);
+  t0 = mcu.time_us();
+  e0 = mcu.energy_uj();
+  mcu.compute(777.0);
+  EXPECT_EQ(mcu.energy_uj(), e0 + mw_off * (mcu.time_us() - t0) * 1e-3);
+}
+
+// The run memo stores Mcu copies and later continues them. A copy carries
+// the power memo with the clock state it describes, so it continues any
+// event sequence bit-identically to the original.
+TEST(Mcu, CopyContinuesBitIdentically) {
+  const auto continue_run = [](Mcu& mcu) {
+    mcu.mem_read({kSramBase + 64, MemRegion::kSram}, 700);
+    mcu.switch_clock(kLfo);
+    mcu.mem_read_strided({kFlashBase + 32, MemRegion::kFlash}, 40, 48);
+    mcu.charge_memory(31.0, 77.0);
+    mcu.switch_clock(kHfo216);
+    mcu.compute(4321.0);
+    mcu.mem_write({kSramBase + 8192, MemRegion::kSram}, 300);
+    mcu.switch_clock(kHfo108);
+    mcu.compute(999.0);
+    mcu.idle_for(55.5, true);
+    mcu.idle_until(mcu.time_us() + 12.25, false);
+  };
+  Mcu original(params_at(kHfo216));
+  original.compute(12345.0);
+  original.switch_clock(kLfo);  // copy taken with the memo just dropped...
+  Mcu after_switch = original;
+  original.mem_read({kSramBase, MemRegion::kSram}, 96);
+  Mcu warm = original;  // ...and with it populated
+  after_switch.mem_read({kSramBase, MemRegion::kSram}, 96);
+
+  continue_run(original);
+  continue_run(after_switch);
+  continue_run(warm);
+  for (const Mcu* copy : {&after_switch, &warm}) {
+    EXPECT_EQ(copy->time_us(), original.time_us());
+    EXPECT_EQ(copy->energy_uj(), original.energy_uj());
+    EXPECT_EQ(copy->cache().state_fingerprint(),
+              original.cache().state_fingerprint());
+    EXPECT_EQ(copy->rcc().stats().switches, original.rcc().stats().switches);
+    EXPECT_TRUE(copy->rcc().state() == original.rcc().state());
+  }
 }
 
 }  // namespace

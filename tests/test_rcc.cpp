@@ -3,7 +3,10 @@
 // locked-PLL fast path, voltage-scale policy.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "clock/rcc.hpp"
+#include "dse/design_space.hpp"
 
 namespace daedvfs::clock {
 namespace {
@@ -125,6 +128,45 @@ TEST(Rcc, StatsAccumulate) {
   EXPECT_EQ(st.switches, 3u);
   EXPECT_EQ(st.pll_relocks, 1u);
   EXPECT_GT(st.total_switch_us, 200.0);
+}
+
+// A switch is a no-op only when it targets the running config. Zeroing a
+// cost parameter (an ideal-mux or instant-relock ablation) must not drop a
+// real switch: for every (from, to) pair of the paper design space, with
+// each SwitchCostParams field zeroed in turn, the Rcc lands on `to`, counts
+// the switch iff it moved, and prices it as the mux/relock model plus the
+// regulator settle it reports.
+TEST(Rcc, SwitchLandsOnTargetWithAnyCostZeroed) {
+  const dse::DesignSpace ds = dse::make_paper_design_space(power::PowerModel{});
+  std::vector<ClockConfig> configs = ds.hfo_configs;
+  configs.push_back(ds.lfo);
+  ASSERT_GE(configs.size(), 2u);
+
+  std::vector<SwitchCostParams> variants(5);
+  variants[0].mux_switch_us = 0.0;
+  variants[1].pll_relock_us = 0.0;
+  variants[2].hse_startup_us = 0.0;
+  variants[3].vos_change_us = 0.0;
+  variants[4] = {0.0, 0.0, 0.0, 0.0};
+
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const SwitchCostParams& p = variants[v];
+    for (const ClockConfig& from : configs) {
+      for (const ClockConfig& to : configs) {
+        Rcc rcc(from, p);
+        const RccState before = rcc.state();
+        const SwitchCost c = rcc.switch_to(to);
+        const bool moved = !(from == to);
+        EXPECT_TRUE(rcc.current() == to)
+            << "variant " << v << ": " << from.str() << " -> " << to.str();
+        EXPECT_EQ(rcc.stats().switches, moved ? 1u : 0u) << "variant " << v;
+        const SwitchCost base = switch_cost(p, from, to, before.locked_pll);
+        EXPECT_EQ(c.total_us,
+                  base.total_us + (c.vos_changed ? p.vos_change_us : 0.0))
+            << "variant " << v;
+      }
+    }
+  }
 }
 
 }  // namespace
