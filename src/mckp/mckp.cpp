@@ -105,12 +105,18 @@ bool build_dp(const Instance& inst, const DpGrid& grid, DpWorkspace& ws) {
     std::fill_n(next.begin(), uwidth, kInf);
     int16_t* par = parent_row(k);
     const std::vector<Item>& cls = inst.classes[k];
+    // dp is non-increasing in w, so its finite cells are the suffix from
+    // first_finite on; starting each item there skips exactly the cells
+    // whose base is kInf.
+    const int first_finite = static_cast<int>(
+        std::find_if(dp.begin(), dp.begin() + width,
+                     [](double d) { return d != kInf; }) -
+        dp.begin());
     for (std::size_t j = 0; j < cls.size(); ++j) {
       const int wt = item_ticks(cls[j]);
       const double value = cls[j].value;
-      for (int w = wt; w < width; ++w) {
+      for (int w = wt + first_finite; w < width; ++w) {
         const double base = dp[static_cast<std::size_t>(w - wt)];
-        if (base == kInf) continue;
         const double v = base + value;
         if (v < next[static_cast<std::size_t>(w)]) {
           next[static_cast<std::size_t>(w)] = v;

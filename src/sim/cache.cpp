@@ -15,77 +15,78 @@ CacheSim::CacheSim(CacheConfig cfg) : cfg_(cfg) {
   }
   line_shift_ = static_cast<uint8_t>(std::countr_zero(cfg.line_bytes));
   set_shift_ = static_cast<uint8_t>(std::countr_zero(cfg.num_sets()));
+  if (line_shift_ + set_shift_ == 0) {
+    throw std::invalid_argument(
+        "cache with 1-byte lines needs more than one set");
+  }
   lines_.resize(static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways);
+}
+
+namespace {
+
+void add_to(CacheStats& st, const AccessResult& r) {
+  st.accesses += r.lines;
+  st.hits += r.hits;
+  st.misses += r.misses;
+  st.writebacks += r.writebacks;
+}
+
+}  // namespace
+
+inline void CacheSim::touch(uint64_t line, bool is_write, AccessResult& res) {
+  const uint64_t set_mask = (uint64_t{1} << set_shift_) - 1;
+  const uint64_t tag = line >> set_shift_;
+  Line* base = &lines_[static_cast<std::size_t>(line & set_mask) * cfg_.ways];
+  ++res.lines;
+
+  // The victim rule of cache.hpp: valid stamps are unique, so `<=` only
+  // differs from `<` by keeping the last of several invalid (stamp 0) ways.
+  Line* victim = &base[0];
+  for (uint32_t w = 0; w < cfg_.ways; ++w) {
+    Line& l = base[w];
+    if (l.tag == tag) {
+      ++res.hits;
+      l.lru = ++use_stamp_;
+      l.dirty = l.dirty || is_write;
+      return;
+    }
+    if (l.lru <= victim->lru) victim = &l;
+  }
+
+  ++res.misses;
+  if (victim->dirty) ++res.writebacks;  // invalid ways are never dirty
+  victim->dirty = is_write;  // write-allocate
+  victim->tag = tag;
+  victim->lru = ++use_stamp_;
 }
 
 AccessResult CacheSim::access(uint64_t vaddr, uint64_t bytes, bool is_write) {
   AccessResult res;
   if (bytes == 0) return res;
-  const uint64_t set_mask = (uint64_t{1} << set_shift_) - 1;
-  const uint64_t first = vaddr >> line_shift_;
   const uint64_t last = (vaddr + bytes - 1) >> line_shift_;
-  for (uint64_t ln = first; ln <= last; ++ln) {
-    const auto set = static_cast<uint32_t>(ln & set_mask);
-    const uint64_t tag = ln >> set_shift_;
-    Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
-    ++res.lines;
-    ++stats_.accesses;
-
-    Line* hit = nullptr;
-    Line* victim = &base[0];
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-      Line& l = base[w];
-      if (l.valid && l.tag == tag) {
-        hit = &l;
-        break;
-      }
-      if (!l.valid) {
-        victim = &l;  // prefer an invalid way
-      } else if (victim->valid && l.lru < victim->lru) {
-        victim = &l;
-      }
-    }
-
-    if (hit != nullptr) {
-      ++res.hits;
-      ++stats_.hits;
-      hit->lru = ++use_stamp_;
-      hit->dirty = hit->dirty || is_write;
-      continue;
-    }
-
-    ++res.misses;
-    ++stats_.misses;
-    if (victim->valid && victim->dirty) {
-      ++res.writebacks;
-      ++stats_.writebacks;
-    }
-    victim->valid = true;
-    victim->dirty = is_write;  // write-allocate
-    victim->tag = tag;
-    victim->lru = ++use_stamp_;
+  for (uint64_t ln = vaddr >> line_shift_; ln <= last; ++ln) {
+    touch(ln, is_write, res);
   }
+  add_to(stats_, res);
   return res;
 }
 
 AccessResult CacheSim::access_strided(uint64_t vaddr, uint64_t stride,
                                       uint32_t count, uint64_t elem_bytes,
                                       bool is_write) {
-  AccessResult total;
+  AccessResult res;
+  if (elem_bytes == 0) return res;
   uint64_t prev_line = ~0ull;
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t a = vaddr + static_cast<uint64_t>(i) * stride;
     const uint64_t first = a >> line_shift_;
     const uint64_t last = (a + elem_bytes - 1) >> line_shift_;
     if (first == prev_line && last == prev_line) continue;
-    const AccessResult r = access(a, elem_bytes, is_write);
-    total.lines += r.lines;
-    total.hits += r.hits;
-    total.misses += r.misses;
-    total.writebacks += r.writebacks;
+    for (uint64_t ln = first; ln <= last; ++ln) touch(ln, is_write, res);
     prev_line = last;
   }
-  return total;
+  add_to(stats_, res);
+  return res;
 }
 
 uint64_t CacheSim::state_fingerprint() const {
@@ -104,13 +105,13 @@ uint64_t CacheSim::state_fingerprint() const {
     const Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
     for (uint32_t w = 0; w < cfg_.ways; ++w) {
       const Line& l = base[w];
-      if (!l.valid) {
+      if (l.lru == 0) {  // invalid
         mix(0);
         continue;
       }
       uint64_t rank = 0;
       for (uint32_t v = 0; v < cfg_.ways; ++v) {
-        if (base[v].valid && base[v].lru < l.lru) ++rank;
+        if (base[v].lru != 0 && base[v].lru < l.lru) ++rank;
       }
       mix(1 | (l.dirty ? 2 : 0) | (rank << 2));
       mix(l.tag);

@@ -2,6 +2,11 @@
 // 4-way, 32-byte-line L1-D (the cache geometry of the STM32F767ZI the paper
 // evaluates on). Write-allocate, write-back, true-LRU replacement.
 //
+// Victim rule: a miss fills the last invalid way of its set, else the least
+// recently used one. An invalid way holds use stamp 0 (valid ways hold
+// stamps >= 1) and a tag no address can produce, so a lookup is one way scan
+// that keeps the last way with the smallest stamp.
+//
 // The cache is what turns the DAE "decoupling granularity" g into a
 // performance knob: group buffers that exceed the cache working set start
 // thrashing, which is the paper's observation that "very high buffer size can
@@ -46,7 +51,9 @@ struct AccessResult {
 class CacheSim {
  public:
   /// Throws std::invalid_argument unless `cfg.ways` is positive and
-  /// `cfg.line_bytes` and `cfg.num_sets()` are nonzero powers of two.
+  /// `cfg.line_bytes` and `cfg.num_sets()` are nonzero powers of two, not
+  /// both 1 (1-byte lines in one set make every 64-bit value a tag, leaving
+  /// none to mark an invalid way).
   explicit CacheSim(CacheConfig cfg = {});
 
   /// Touches [vaddr, vaddr + bytes); returns per-call hit/miss counts.
@@ -73,11 +80,16 @@ class CacheSim {
 
  private:
   struct Line {
-    uint64_t tag = 0;
-    uint64_t lru = 0;   ///< Monotonic use stamp; smallest = LRU victim.
-    bool valid = false;
+    uint64_t tag = kNoTag;
+    uint64_t lru = 0;  ///< Monotonic use stamp; 0 = invalid way.
     bool dirty = false;
   };
+  /// Above every tag `line >> set_shift_` can take once
+  /// line_shift_ + set_shift_ >= 1, which the constructor ensures.
+  static constexpr uint64_t kNoTag = ~0ull;
+
+  /// Looks up one line number (vaddr >> line_shift_) and counts it in `res`.
+  void touch(uint64_t line, bool is_write, AccessResult& res);
 
   CacheConfig cfg_;
   uint8_t line_shift_ = 0;  ///< log2(line_bytes); fills cfg_'s tail padding.

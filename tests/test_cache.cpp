@@ -35,6 +35,29 @@ TEST(Cache, RejectsNonPowerOfTwoGeometry) {
   EXPECT_NO_THROW(CacheSim({12 * 1024, 32, 3}));
 }
 
+TEST(Cache, RejectsOneByteLinesInASingleSet) {
+  // With 1-byte lines and one set the tag is the whole address, so no tag
+  // value is left to mark an invalid way.
+  EXPECT_THROW(CacheSim({4, 1, 4}), std::invalid_argument);
+  EXPECT_THROW(CacheSim({1, 1, 1}), std::invalid_argument);
+  // One more set (or a wider line) frees the top tag value.
+  EXPECT_NO_THROW(CacheSim({8, 1, 4}));
+  EXPECT_NO_THROW(CacheSim({8, 2, 4}));
+}
+
+TEST(Cache, HighestTagIsNotAnInvalidWay) {
+  // The last line below the top address holds the highest tag a geometry
+  // can produce; it must miss once, then hit, like any other line.
+  for (const CacheConfig cfg : {CacheConfig{8, 1, 4}, CacheConfig{}}) {
+    CacheSim c(cfg);
+    const uint64_t top = ~0ull - 1;
+    EXPECT_EQ(c.access(top, 1, true).misses, 1u);
+    EXPECT_EQ(c.access(top, 1, false).hits, 1u);
+    EXPECT_EQ(c.access(0, 1, false).misses, 1u);
+    EXPECT_EQ(c.access(top, 1, false).hits, 1u);
+  }
+}
+
 TEST(Cache, ColdMissThenHit) {
   CacheSim c;
   auto r1 = c.access(0x1000, 4, false);
@@ -285,9 +308,12 @@ void expect_same(const AccessResult& a, const AccessResult& b) {
 
 /// Differential: the shift/mask CacheSim against the division reference
 /// over a seeded stream of plain and strided reads and writes — addresses
-/// low and high (tag bits above 32), spans across lines, strides below and
-/// above the line size, 1-4 byte elements. Every call's result, the
-/// cumulative stats and the behavioral fingerprint must agree.
+/// low and high (tag bits above 32), spans across lines, strides below,
+/// above and at exact multiples of the line size (the NHWC channel strides),
+/// 1-4 byte elements and elements that straddle two or three lines (the DAE
+/// gather's group-wide ones), zero counts and zero-byte elements. Every
+/// call's result, the cumulative stats and the behavioral fingerprint must
+/// agree.
 class CacheDifferential : public ::testing::TestWithParam<CacheConfig> {};
 
 TEST_P(CacheDifferential, MatchesDivisionReference) {
@@ -298,10 +324,14 @@ TEST_P(CacheDifferential, MatchesDivisionReference) {
   const uint64_t span = 4ull * cfg.size_bytes;
   std::uniform_int_distribution<uint64_t> offset(0, span);
   std::uniform_int_distribution<uint64_t> bytes(0, 3ull * cfg.line_bytes);
-  std::uniform_int_distribution<uint64_t> stride(1, 3ull * cfg.line_bytes);
+  const uint64_t line = cfg.line_bytes;
+  std::uniform_int_distribution<uint64_t> stride(1, 3 * line);
+  std::uniform_int_distribution<uint64_t> lines(1, 3);
   std::uniform_int_distribution<uint32_t> count(0, 48);
-  std::uniform_int_distribution<uint64_t> elem(1, 4);
+  std::uniform_int_distribution<uint64_t> narrow(1, 4);
+  std::uniform_int_distribution<uint64_t> wide(line + 1, 3 * line);
   std::uniform_int_distribution<int> coin(0, 3);
+  std::uniform_int_distribution<int> pick(0, 9);
   const uint64_t bases[] = {0x0800'0000ull, 0x2002'0000ull,
                             0x0000'0123'4567'8000ull};
   for (int i = 0; i < 3000; ++i) {
@@ -311,9 +341,15 @@ TEST_P(CacheDifferential, MatchesDivisionReference) {
       const uint64_t n = bytes(rng);
       expect_same(sim.access(addr, n, is_write), ref.access(addr, n, is_write));
     } else {
-      const uint64_t st = stride(rng);
-      const uint32_t c = count(rng);
-      const uint64_t e = elem(rng);
+      // Strides: 40% any, 40% a whole number of lines, 20% under a line.
+      const int ks = pick(rng);
+      const uint64_t st = ks < 4   ? stride(rng)
+                          : ks < 8 ? lines(rng) * line
+                                   : 1 + stride(rng) % line;
+      const uint32_t c = pick(rng) == 0 ? 0 : count(rng);
+      // Elements: mostly 1-4 bytes, some up to three lines wide, some empty.
+      const int ke = pick(rng);
+      const uint64_t e = ke < 6 ? narrow(rng) : ke < 9 ? wide(rng) : 0;
       expect_same(sim.access_strided(addr, st, c, e, is_write),
                   ref.access_strided(addr, st, c, e, is_write));
     }
@@ -331,7 +367,7 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheDifferential,
     ::testing::Values(CacheConfig{}, CacheConfig{2 * 1024, 16, 2},
                       CacheConfig{4 * 1024, 64, 1},
-                      CacheConfig{3 * 1024, 32, 3}),
+                      CacheConfig{3 * 1024, 32, 3}, CacheConfig{8, 1, 4}),
     [](const ::testing::TestParamInfo<CacheConfig>& info) {
       const CacheConfig& c = info.param;
       return std::to_string(c.size_bytes) + "B_" +

@@ -3,8 +3,12 @@
 // solver-quality ordering (DP <= greedy <= any feasible).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "mckp/mckp.hpp"
 
@@ -297,6 +301,164 @@ TEST_P(SweepCapMaxIdentity, MatchesDedicatedSolveDp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepCapMaxIdentity, ::testing::Range(0u, 20u));
+
+/// The DP as it reads without the finite-suffix start: every item scans
+/// every budget cell from its own weight on and skips an infinite base per
+/// cell. Same grid, tie rule (first minimum), backtrack and totals as
+/// solve_dp / solve_dp_sweep, so their answers must match it exactly.
+class NaiveDp {
+ public:
+  NaiveDp(const Instance& inst, double grid_capacity, int max_ticks)
+      : inst_(inst) {
+    const int ticks = std::max(1, max_ticks);
+    tick_ = grid_capacity > 0.0 ? grid_capacity / ticks : 1.0;
+    width_ = grid_capacity > 0.0 ? ticks + 1 : 1;
+    const auto uw = static_cast<std::size_t>(width_);
+    dp_.assign(uw, kInf);
+    parent_.assign(inst.classes.size(), std::vector<int>(uw, -1));
+    for (std::size_t k = 0; k < inst.classes.size(); ++k) {
+      std::vector<double> next(uw, kInf);
+      for (std::size_t j = 0; j < inst.classes[k].size(); ++j) {
+        const Item& it = inst.classes[k][j];
+        const int64_t wt = ticks_of(it.weight);
+        for (int64_t w = wt; w < width_; ++w) {
+          const double base =
+              k == 0 ? 0.0 : dp_[static_cast<std::size_t>(w - wt)];
+          if (base == kInf) continue;
+          const double v = k == 0 ? it.value : base + it.value;
+          if (v < next[static_cast<std::size_t>(w)]) {
+            next[static_cast<std::size_t>(w)] = v;
+            parent_[k][static_cast<std::size_t>(w)] = static_cast<int>(j);
+          }
+        }
+      }
+      dp_ = std::move(next);
+    }
+  }
+
+  /// solve_dp's answer when built on inst.capacity.
+  [[nodiscard]] Solution solve() const {
+    return answer(width_ - 1, inst_.capacity);
+  }
+
+  /// solve_dp_sweep's answer at `capacity` on this (largest-capacity) grid.
+  [[nodiscard]] Solution at(double capacity) const {
+    if (capacity < 0.0) return {};
+    const auto cell = static_cast<int64_t>(std::floor(capacity / tick_ + 1e-9));
+    return answer(static_cast<int>(std::clamp<int64_t>(cell, 0, width_ - 1)),
+                  capacity);
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  [[nodiscard]] int64_t ticks_of(double weight) const {
+    return static_cast<int64_t>(std::ceil(weight / tick_ - 1e-12));
+  }
+
+  [[nodiscard]] Solution answer(int cell, double capacity) const {
+    if (dp_[static_cast<std::size_t>(cell)] == kInf) return {};
+    Solution s;
+    s.chosen.assign(inst_.classes.size(), -1);
+    int64_t w = cell;
+    for (std::size_t k = inst_.classes.size(); k-- > 0;) {
+      const int j = parent_[k][static_cast<std::size_t>(w)];
+      s.chosen[k] = j;
+      w -= ticks_of(inst_.classes[k][static_cast<std::size_t>(j)].weight);
+    }
+    for (std::size_t k = 0; k < inst_.classes.size(); ++k) {
+      const Item& it =
+          inst_.classes[k][static_cast<std::size_t>(s.chosen[k])];
+      s.total_weight += it.weight;
+      s.total_value += it.value;
+    }
+    s.feasible = s.total_weight <= capacity + 1e-9;
+    return s;
+  }
+
+  const Instance& inst_;
+  double tick_ = 1.0;
+  int width_ = 1;
+  std::vector<double> dp_;
+  std::vector<std::vector<int>> parent_;
+};
+
+/// Random instance with the DP's corner cases: zero-weight items, items
+/// heavier than the capacity, repeated values (ties), zero capacity, and
+/// classes whose minimum weights sum past the capacity, which pushes the
+/// finite suffix of the table past the grid's last cell.
+Instance corner_instance(std::mt19937& rng) {
+  std::uniform_int_distribution<int> n_classes(1, 7);
+  std::uniform_int_distribution<int> n_items(1, 6);
+  std::uniform_int_distribution<int> pick(0, 9);
+  std::uniform_real_distribution<double> weight(0.0, 40.0);
+  std::uniform_int_distribution<int> value(1, 12);  // small ints: many ties
+  Instance inst;
+  double min_total = 0.0;
+  const int n = n_classes(rng);
+  for (int k = 0; k < n; ++k) {
+    std::vector<Item> cls;
+    double wmin = std::numeric_limits<double>::infinity();
+    const int m = n_items(rng);
+    for (int j = 0; j < m; ++j) {
+      const int kind = pick(rng);
+      const double w = kind == 0   ? 0.0
+                       : kind == 1 ? 1000.0 + weight(rng)
+                                   : weight(rng);
+      cls.push_back({w, static_cast<double>(value(rng)) +
+                            (pick(rng) == 0 ? 0.5 : 0.0)});
+      wmin = std::min(wmin, w);
+    }
+    min_total += wmin;
+    inst.classes.push_back(std::move(cls));
+  }
+  const int cap_kind = pick(rng);
+  inst.capacity = cap_kind == 0   ? 0.0
+                  : cap_kind == 1 ? 0.5 * min_total
+                                  : min_total + weight(rng) * n * 0.5;
+  return inst;
+}
+
+void expect_identical(const Solution& got, const Solution& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.feasible, want.feasible) << where;
+  if (!want.feasible) return;
+  EXPECT_EQ(got.chosen, want.chosen) << where;
+  EXPECT_EQ(got.total_value, want.total_value) << where;
+  EXPECT_EQ(got.total_weight, want.total_weight) << where;
+}
+
+TEST(Dp, MatchesNaiveDpOnCornerInstances) {
+  std::mt19937 rng(0xd9);
+  std::uniform_int_distribution<int> ticks(1, 300);
+  DpWorkspace ws;
+  int feasible = 0, infeasible = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Instance inst = corner_instance(rng);
+    const int max_ticks = ticks(rng);
+    const std::string where = "trial " + std::to_string(trial);
+
+    const NaiveDp naive(inst, inst.capacity, max_ticks);
+
+    const Solution solo = solve_dp(inst, max_ticks, ws);
+    expect_identical(solo, naive.solve(), where);
+    (solo.feasible ? feasible : infeasible) += 1;
+
+    const std::vector<double> caps = {inst.capacity * 0.3, 0.0, -1.0,
+                                      inst.capacity * 0.7, inst.capacity};
+    const std::vector<Solution> sweep =
+        solve_dp_sweep(inst, caps, max_ticks, ws);
+    ASSERT_EQ(sweep.size(), caps.size());
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      expect_identical(sweep[i], naive.at(caps[i]),
+                       where + " cap " + std::to_string(i));
+    }
+  }
+  // The stream must reach both outcomes, or one side of the suffix start
+  // went untested.
+  EXPECT_GT(feasible, 50);
+  EXPECT_GT(infeasible, 50);
+}
 
 TEST(Dp, OversizeClassIsRejectedNotWrapped) {
   // A class with more than kMaxClassItems items cannot be indexed by the
