@@ -10,9 +10,13 @@ output, the format `sha256sum` prints):
                                          0.1/0.3/0.5
   bench_fleet_dump_1.json                the FleetReport JSON written by
                                          `bench_fleet dump 1`
+  mission_sim_pd_days2.trace.json        the sim-time Perfetto trace and the
+  mission_sim_pd_days2.metrics.json      metrics JSON (decision counters
+                                         included) written by `mission_sim pd
+                                         --days 2 --trace F --metrics F`
 
 None of these outputs carries a wall-clock field, so they are hashed as
-written. A change that moves an entry on purpose reruns with --update and
+written. mission_sim's stdout is not pinned: it prints wall-clock times. A change that moves an entry on purpose reruns with --update and
 records the old and new hash and the reason in CHANGES.md.
 
 Usage (from a checkout root, after building):
@@ -53,6 +57,14 @@ def outputs(build):
         run([os.path.join(build, "bench_fleet"), "dump", "1", path])
         with open(path, "rb") as f:
             yield "bench_fleet_dump_1.json", hashlib.sha256(f.read()).hexdigest()
+        trace = os.path.join(tmp, "trace.json")
+        metrics = os.path.join(tmp, "metrics.json")
+        run([os.path.join(build, "mission_sim"), "pd", "--days", "2",
+             "--trace", trace, "--metrics", metrics])
+        for name, path in (("trace", trace), ("metrics", metrics)):
+            with open(path, "rb") as f:
+                yield (f"mission_sim_pd_days2.{name}.json",
+                       hashlib.sha256(f.read()).hexdigest())
 
 
 def read_manifest():

@@ -177,11 +177,11 @@ MissionReport simulate_mission(const MissionSpec& spec,
                                const SchedulePolicy& policy, double t_base_us,
                                const WakeTable& wakes, obs::Sink* sink) {
   const std::vector<RungInfo>& rungs = policy.rungs();
-  if (wakes.rung_count() != rungs.size()) {
+  if (!wakes.built_for(rungs)) {
     throw std::invalid_argument(
-        "simulate_mission: WakeTable priced for " +
-        std::to_string(wakes.rung_count()) + " rungs, policy '" +
-        policy.name() + "' has " + std::to_string(rungs.size()));
+        "simulate_mission: WakeTable built for another ladder (" +
+        std::to_string(wakes.rung_count()) + " rungs) than policy '" +
+        policy.name() + "' runs (" + std::to_string(rungs.size()) + ")");
   }
   MissionReport r;
   r.mission = spec.name;

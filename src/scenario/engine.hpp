@@ -70,8 +70,10 @@ namespace daedvfs::scenario {
 /// calls this). Lets many missions on one ladder share one table — the
 /// fleet builds one per device class. `wakes` and `policy` are only read,
 /// so concurrent missions may share them (attach no obs sink to a shared
-/// LadderPolicy meanwhile — its counters are not atomic). Throws std::invalid_argument when `wakes` was
-/// priced for a different rung count than `policy.rungs()`.
+/// LadderPolicy meanwhile — its counters are not atomic). Throws
+/// std::invalid_argument unless `wakes` was built for `policy.rungs()`
+/// (WakeTable::built_for): a LadderPolicy decides from the table's own
+/// copy of the ladder.
 [[nodiscard]] MissionReport simulate_mission(const MissionSpec& spec,
                                              const SchedulePolicy& policy,
                                              double t_base_us,

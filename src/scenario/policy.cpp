@@ -1,7 +1,9 @@
 #include "scenario/policy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "clock/rcc.hpp"
@@ -26,7 +28,10 @@ WakeTable::WakeTable(const std::vector<RungInfo>& rungs,
                      const clock::SwitchCostParams& switching,
                      const power::PowerModel& pm,
                      const std::optional<clock::ClockConfig>& boot)
-    : rungs_(rungs.size()), switching_(switching), power_(pm.params()) {
+    : ladder_(rungs),
+      rungs_(rungs.size()),
+      switching_(switching),
+      power_(pm.params()) {
   if (boot) boot_ = intern(clock::RccState::at(*boot));
   for (const RungInfo& r : rungs) {
     exit_.push_back(intern(clock::RccState::at(r.exit_hfo)));
@@ -50,6 +55,25 @@ WakeTable::WakeTable(const std::vector<RungInfo>& rungs,
       cost_.push_back(wake_transition(w, r, switching, pm));
     }
   }
+  index_ = RungIndex(rungs, states_.size() + 2);
+  for (std::size_t id = 0; id < states_.size(); ++id) {
+    index_.add_row(rungs, row(static_cast<int>(id)));
+  }
+  index_.add_row(rungs, free_.data());
+  index_.add_row(rungs, nullptr);
+}
+
+bool WakeTable::built_for(const std::vector<RungInfo>& rungs) const {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  return std::equal(
+      ladder_.begin(), ladder_.end(), rungs.begin(), rungs.end(),
+      [&same](const RungInfo& a, const RungInfo& b) {
+        return same(a.t_us, b.t_us) && same(a.e_uj, b.e_uj) &&
+               same(a.max_sysclk_mhz, b.max_sysclk_mhz) &&
+               a.entry_hfo == b.entry_hfo && a.exit_hfo == b.exit_hfo;
+      });
 }
 
 LadderPolicy::LadderPolicy(std::vector<RungInfo> rungs,
@@ -85,61 +109,116 @@ double catch_up_budget_us(std::uint32_t backlog, double window_remaining_s,
   return std::numeric_limits<double>::infinity();
 }
 
-RungPick select_rung(const std::vector<RungInfo>& rungs, double deadline_us,
-                     double budget_us, double cap_mhz,
-                     const TransitionCost* wake) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  int best_budget = -1, best_deadline = -1, fastest = -1, coolest = -1;
-  double be_budget = kInf, be_deadline = kInf, fastest_t = kInf;
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The rule's energy order: lower e first, then the lower rung. A slot with
+/// e = +inf or NaN never beats the initial (+inf, -1).
+bool beats(double e, int rung, double best_e, int best_rung) {
+  return e < best_e || (e == best_e && rung < best_rung);
+}
+
+}  // namespace
+
+RungIndex::RungIndex(const std::vector<RungInfo>& rungs, std::size_t rows)
+    : rungs_(rungs.size()) {
+  slots_.reserve(rows * rungs_);
   double coolest_mhz = kInf;
   for (std::size_t i = 0; i < rungs.size(); ++i) {
-    const RungInfo& r = rungs[i];
-    if (r.peak_mhz() < coolest_mhz) {
-      coolest_mhz = r.peak_mhz();
-      coolest = static_cast<int>(i);
+    const double peak = rungs[i].peak_mhz();
+    if (peak < coolest_mhz) {
+      coolest_mhz = peak;
+      coolest_ = static_cast<int>(i);
     }
-    // Thermally barred.
-    if (cap_mhz > 0.0 && r.peak_mhz() > cap_mhz + 1e-9) continue;
+    if (peak > max_peak_) max_peak_ = peak;
+  }
+}
 
+void RungIndex::add_row(const std::vector<RungInfo>& rungs,
+                        const TransitionCost* wake) {
+  const auto row = static_cast<std::ptrdiff_t>(slots_.size());
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    const RungInfo& r = rungs[i];
     const TransitionCost trans = wake != nullptr ? wake[i] : TransitionCost{};
-    const double t = r.t_us + trans.us;
-    const double e = r.e_uj + trans.uj;
-    if (t < fastest_t) {
-      fastest_t = t;
-      fastest = static_cast<int>(i);
+    Slot s;
+    s.t = r.t_us + trans.us;
+    s.e = r.e_uj + trans.uj;
+    s.peak = r.peak_mhz();
+    s.rung = static_cast<int>(i);
+    slots_.push_back(s);
+  }
+  std::sort(slots_.begin() + row, slots_.end(),
+            [](const Slot& a, const Slot& b) {
+              const bool a_nan = std::isnan(a.t), b_nan = std::isnan(b.t);
+              if (a_nan != b_nan) return b_nan;
+              if (!a_nan && a.t != b.t) return a.t < b.t;
+              return a.rung < b.rung;
+            });
+  double best_e = kInf;
+  int best = -1;
+  for (auto it = slots_.begin() + row; it != slots_.end(); ++it) {
+    if (beats(it->e, it->rung, best_e, best)) {
+      best_e = it->e;
+      best = it->rung;
     }
-    if (t <= deadline_us + 1e-9 && e < be_deadline) {
-      be_deadline = e;
-      best_deadline = static_cast<int>(i);
+    it->best = best;
+  }
+}
+
+RungPick RungIndex::pick(std::size_t row, double deadline_us,
+                         double budget_us, double cap_mhz) const {
+  const Slot* s = slots_.data() + row * rungs_;
+  const std::size_t n = rungs_;
+  const double deadline = deadline_us + 1e-9;
+  const double budget = std::min(deadline_us, budget_us) + 1e-9;
+  // budget <= deadline (or both NaN), so the budget's prefix is a prefix of
+  // the deadline's.
+  if (!(cap_mhz > 0.0 && max_peak_ > cap_mhz + 1e-9)) {
+    std::size_t k = 0;
+    while (k < n && s[k].t <= budget) ++k;
+    if (k > 0 && s[k - 1].best >= 0) return {s[k - 1].best, kTierBudget};
+    while (k < n && s[k].t <= deadline) ++k;
+    if (k > 0 && s[k - 1].best >= 0) return {s[k - 1].best, kTierDeclared};
+    // No rung fits the deadline: run the fastest reachable one (the miss
+    // is the scenario engine's to count).
+    if (n > 0 && s[0].t < kInf) return {s[0].rung, kTierFastest};
+    return {coolest_, kTierCoolest};
+  }
+  // The cap bars some rung: the same walk, skipping barred slots.
+  const double cap = cap_mhz + 1e-9;
+  int fastest = -1, best_deadline = -1, best_budget = -1;
+  double e_deadline = kInf, e_budget = kInf;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Slot& x = s[k];
+    if (x.peak > cap) continue;
+    if (fastest < 0 && x.t < kInf) fastest = x.rung;
+    // Later slots are no faster, and +inf or NaN ones never set fastest.
+    if (!(x.t <= deadline)) break;
+    if (beats(x.e, x.rung, e_deadline, best_deadline)) {
+      e_deadline = x.e;
+      best_deadline = x.rung;
     }
-    if (t <= std::min(deadline_us, budget_us) + 1e-9 && e < be_budget) {
-      be_budget = e;
-      best_budget = static_cast<int>(i);
+    if (x.t <= budget && beats(x.e, x.rung, e_budget, best_budget)) {
+      e_budget = x.e;
+      best_budget = x.rung;
     }
   }
   if (best_budget >= 0) return {best_budget, kTierBudget};
   if (best_deadline >= 0) return {best_deadline, kTierDeclared};
-  // No rung fits the deadline: run the fastest reachable one (the miss is
-  // the scenario engine's to count).
   if (fastest >= 0) return {fastest, kTierFastest};
   // The thermal cap excluded everything: run the coolest rung (the engine
   // counts the violation).
-  return {coolest, kTierCoolest};
+  return {coolest_, kTierCoolest};
 }
 
-namespace {
-
-/// Shared pick of choose() and predict_next(). `wake` holds the
-/// wake-transition cost into each rung (nullptr: no transition).
-RungPick pick_rung(const std::vector<RungInfo>& rungs, const FrameContext& ctx,
-                   const TransitionCost* wake) {
-  return select_rung(
-      rungs, ctx.deadline_us,
-      catch_up_budget_us(ctx.backlog, ctx.window_remaining_s, ctx.radio_us),
-      ctx.max_sysclk_mhz, wake);
+RungPick select_rung(const std::vector<RungInfo>& rungs, double deadline_us,
+                     double budget_us, double cap_mhz,
+                     const TransitionCost* wake) {
+  RungIndex index(rungs, 1);
+  index.add_row(rungs, wake);
+  return index.pick(0, deadline_us, budget_us, cap_mhz);
 }
-
-}  // namespace
 
 void LadderPolicy::set_sink(obs::Sink* sink) {
   obs::MetricsRegistry* mx = sink != nullptr ? sink->metrics : nullptr;
@@ -157,34 +236,38 @@ void LadderPolicy::set_sink(obs::Sink* sink) {
   tier_counters_[kTierCoolest] = &mx->counter("governor.tier_coolest");
 }
 
-const TransitionCost* LadderPolicy::wake_row(
-    const FrameContext& ctx, int current_rung,
-    std::vector<TransitionCost>& repriced) const {
+RungPick LadderPolicy::pick(const FrameContext& ctx, int current_rung) const {
+  const double budget_us =
+      catch_up_budget_us(ctx.backlog, ctx.window_remaining_s, ctx.radio_us);
   if (ctx.wake_table != nullptr && ctx.wake_id >= 0) {
     if (ctx.wake_table->prices_like(table_)) {
-      return ctx.wake_table->row(ctx.wake_id);
+      return ctx.wake_table->pick(static_cast<std::size_t>(ctx.wake_id),
+                                  ctx.deadline_us, budget_us,
+                                  ctx.max_sysclk_mhz);
     }
     const clock::RccState& wake = ctx.wake_table->state(ctx.wake_id);
-    repriced.clear();
+    std::vector<TransitionCost> repriced;
     for (const RungInfo& r : rungs_) {
       repriced.push_back(wake_transition(wake, r, switching_, pm_));
     }
-    return repriced.data();
+    return select_rung(rungs_, ctx.deadline_us, budget_us,
+                       ctx.max_sysclk_mhz, repriced.data());
   }
-  if (current_rung >= 0) return table_.row(table_.exit_id(current_rung));
-  return nullptr;
+  const std::size_t row =
+      current_rung >= 0
+          ? static_cast<std::size_t>(table_.exit_id(current_rung))
+          : table_.no_transition_row();
+  return table_.pick(row, ctx.deadline_us, budget_us, ctx.max_sysclk_mhz);
 }
 
 int LadderPolicy::choose(const FrameContext& ctx, int current_rung) const {
   if (rungs_.empty()) return -1;
-  std::vector<TransitionCost> repriced;
-  const RungPick pick =
-      pick_rung(rungs_, ctx, wake_row(ctx, current_rung, repriced));
+  const RungPick picked = pick(ctx, current_rung);
   if (choose_calls_ != nullptr) {
     choose_calls_->add();
-    tier_counters_[pick.tier]->add();
+    tier_counters_[picked.tier]->add();
   }
-  return pick.rung;
+  return picked.rung;
 }
 
 std::optional<PrelockAnchor> find_prelock_anchor(
@@ -264,7 +347,12 @@ int LadderPolicy::predict_next(const FrameContext& ctx, int chosen) const {
   // Steady-duty-cycle assumption: the next frame looks like this one. Pick
   // the rung the policy would run if waking were free — pre-locking its
   // entry PLL during the coming sleep is exactly what makes that true.
-  return pick_rung(rungs_, ctx, table_.free_wake()).rung;
+  return table_
+      .pick(table_.free_row(), ctx.deadline_us,
+            catch_up_budget_us(ctx.backlog, ctx.window_remaining_s,
+                               ctx.radio_us),
+            ctx.max_sysclk_mhz)
+      .rung;
 }
 
 }  // namespace daedvfs::scenario

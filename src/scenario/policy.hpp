@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,9 +78,11 @@ struct FrameContext {
   double radio_us = 0.0;
   /// Clock-tree state at wake, when the engine tracks it (pre-lock aware):
   /// state `wake_id` of `wake_table`, the engine's interned wake states of
-  /// this policy's ladder. Unset (nullptr / -1) on a cold start or when
-  /// calling choose() outside the engine — policies then fall back to the
-  /// previous rung's exit state.
+  /// this policy's ladder (a table built for rungs(); simulate_mission
+  /// checks that once per mission, and the policy reads its decision index
+  /// without re-checking it per frame). Unset (nullptr / -1) on a cold
+  /// start or when calling choose() outside the engine — policies then fall
+  /// back to the previous rung's exit state.
   const WakeTable* wake_table = nullptr;
   int wake_id = -1;
 };
@@ -156,16 +159,60 @@ struct RungPick {
                                         double window_remaining_s,
                                         double radio_us);
 
-/// The selection loop of the shared decision rule: with rungs above
-/// `cap_mhz` barred (0 = uncapped), the minimum-energy rung meeting
-/// min(deadline, budget), else the one meeting the deadline, else the
-/// fastest eligible rung, else the coolest rung. `wake` holds the
-/// wake-transition cost into each rung (nullptr: no transition). One pass
-/// over the ladder; LadderPolicy and the schedule server both call it.
+/// The shared decision rule: with rungs above `cap_mhz` barred (0 =
+/// uncapped), the minimum-energy rung meeting min(deadline, budget), else
+/// the one meeting the deadline, else the fastest eligible rung, else the
+/// coolest rung. A rung's latency and energy include the wake-transition
+/// cost `wake` holds for it (nullptr: no transition); energy ties go to the
+/// lower rung, and so do latency ties for the fastest rung. Builds a
+/// one-row RungIndex and asks it, the index LadderPolicy reads per frame
+/// from its WakeTable; the schedule server calls this to tabulate picks.
 [[nodiscard]] RungPick select_rung(const std::vector<RungInfo>& rungs,
                                    double deadline_us, double budget_us,
                                    double cap_mhz,
                                    const TransitionCost* wake);
+
+/// select_rung's rule precomputed for rows of wake costs over one ladder.
+/// A row lists the rungs by ascending (t, rung), NaN latencies last, where
+/// t = t_us + the row's transition us and e = e_uj + its uj are the rule's
+/// own expressions, evaluated once. Each slot also carries the rung's peak
+/// clock and the best rung (lowest e, lowest rung on ties, e below +inf)
+/// among the slots up to it. Rungs with t <= a bound then form a prefix of
+/// the row, so an uncapped pick walks the row to the deadline and reads the
+/// prefix's best; a cap that bars some rung walks the same prefix and skips
+/// the barred slots. Either way the answer is select_rung's by
+/// construction: the same sums, the same comparisons, the same tie rule.
+class RungIndex {
+ public:
+  RungIndex() = default;
+  /// An index with no rows over `rungs` and room for `rows`: records the
+  /// coolest rung and the highest peak clock (which tells a cap that bars
+  /// nothing).
+  RungIndex(const std::vector<RungInfo>& rungs, std::size_t rows);
+
+  /// Appends the row for the wake costs `wake` into each of `rungs` (the
+  /// constructor's ladder; nullptr = no transition). Rows number from 0.
+  void add_row(const std::vector<RungInfo>& rungs,
+               const TransitionCost* wake);
+
+  /// select_rung over row `row`.
+  [[nodiscard]] RungPick pick(std::size_t row, double deadline_us,
+                              double budget_us, double cap_mhz) const;
+
+ private:
+  struct Slot {
+    double t = 0.0;     ///< t_us + transition us.
+    double e = 0.0;     ///< e_uj + transition uj.
+    double peak = 0.0;  ///< RungInfo::peak_mhz().
+    int rung = -1;
+    int best = -1;  ///< Best rung of the row's slots up to here; -1: none.
+  };
+
+  std::size_t rungs_ = 0;
+  int coolest_ = -1;  ///< Lowest peak clock, lowest rung on ties.
+  double max_peak_ = -std::numeric_limits<double>::infinity();
+  std::vector<Slot> slots_;  ///< Row-major, rungs_ slots per row.
+};
 
 /// Every wake transition a ladder can pay, priced once. The wake states a
 /// mission can reach form a small finite set — the boot state, each rung's
@@ -175,6 +222,8 @@ struct RungPick {
 /// frame. Each entry is the value wake_transition /
 /// clock::background_reposition_cost return for that state, evaluated once
 /// at construction, so table reads are bit-identical to pricing on the fly.
+/// Each row, the free-wake row and a no-transition row also carry a
+/// RungIndex row, so a frame's decision is a short walk (pick()).
 class WakeTable {
  public:
   /// A background pre-lock (clock::background_reposition_cost) toward a
@@ -190,7 +239,8 @@ class WakeTable {
   WakeTable() = default;
   /// Interns the ladder's exit states, the pre-lock repositions out of
   /// them and, when `boot` is given, the state a (re)booted node wakes
-  /// into; then prices every (state, rung) transition.
+  /// into; then prices every (state, rung) transition and indexes every
+  /// row for select_rung.
   WakeTable(const std::vector<RungInfo>& rungs,
             const clock::SwitchCostParams& switching,
             const power::PowerModel& pm,
@@ -199,6 +249,9 @@ class WakeTable {
   [[nodiscard]] std::size_t state_count() const { return states_.size(); }
   /// Ladder size the table was priced for (entries per row).
   [[nodiscard]] std::size_t rung_count() const { return rungs_; }
+  /// Whether the table was built for `rungs`: the same latencies, energies,
+  /// peak clocks and boundary clocks, bit for bit (names and slacks aside).
+  [[nodiscard]] bool built_for(const std::vector<RungInfo>& rungs) const;
   [[nodiscard]] const clock::RccState& state(int id) const {
     return states_[static_cast<std::size_t>(id)];
   }
@@ -224,8 +277,21 @@ class WakeTable {
     return reposition_[static_cast<std::size_t>(from) * rungs_ +
                        static_cast<std::size_t>(to)];
   }
+  /// Decision-index row of the pre-locked wake (free_wake()).
+  [[nodiscard]] std::size_t free_row() const { return states_.size(); }
+  /// Decision-index row of a frame that pays no transition.
+  [[nodiscard]] std::size_t no_transition_row() const {
+    return states_.size() + 1;
+  }
+  /// select_rung over decision-index row `row`: a state id, free_row() or
+  /// no_transition_row().
+  [[nodiscard]] RungPick pick(std::size_t row, double deadline_us,
+                              double budget_us, double cap_mhz) const {
+    return index_.pick(row, deadline_us, budget_us, cap_mhz);
+  }
   /// Same ladder size and same switch/power parameters: rows of either
-  /// table price a given state identically.
+  /// table price a given state identically (and, for two tables built for
+  /// one ladder, decide it identically).
   [[nodiscard]] bool prices_like(const WakeTable& other) const {
     return rungs_ == other.rungs_ && switching_ == other.switching_ &&
            power_ == other.power_;
@@ -234,6 +300,7 @@ class WakeTable {
  private:
   int intern(const clock::RccState& w);
 
+  std::vector<RungInfo> ladder_;  ///< What built_for() compares against.
   std::size_t rungs_ = 0;
   clock::SwitchCostParams switching_;
   power::PowerModelParams power_;
@@ -243,6 +310,8 @@ class WakeTable {
   std::vector<TransitionCost> cost_;  ///< state-major, rungs_ per row.
   std::vector<TransitionCost> free_;
   std::vector<Reposition> reposition_;  ///< from-rung-major.
+  /// One row per state, then the free-wake and no-transition rows.
+  RungIndex index_;
 };
 
 /// DegradedMode ladder: shed severity is the worse of the SoC deficit below
@@ -322,15 +391,14 @@ class LadderPolicy : public SchedulePolicy {
   bool predictive_ = false;
 
  private:
-  /// Wake-cost row of the state `ctx`'s frame wakes into: the engine's
-  /// interned state when ctx carries one, else `current_rung`'s exit state,
-  /// else nullptr. An engine table priced with other switch/power
-  /// parameters than this ladder's is re-priced into `repriced` with the
-  /// ladder's own (a cold path: the governor and the engine share one
-  /// SimParams everywhere in this repository).
-  [[nodiscard]] const TransitionCost* wake_row(
-      const FrameContext& ctx, int current_rung,
-      std::vector<TransitionCost>& repriced) const;
+  /// choose()'s pick, from the index row of the state `ctx`'s frame wakes
+  /// into: the engine's interned state when ctx carries one, else
+  /// `current_rung`'s exit state, else no transition. An engine table
+  /// priced with other switch/power parameters than this ladder's has the
+  /// state re-priced with the ladder's own and passed to select_rung (a
+  /// cold path: the governor and the engine share one SimParams everywhere
+  /// in this repository).
+  [[nodiscard]] RungPick pick(const FrameContext& ctx, int current_rung) const;
 
   /// Hoisted metrics instruments (owned by the attached registry). The
   /// pointees are bumped from the const decision methods — observational

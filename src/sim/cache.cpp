@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace daedvfs::sim {
 
@@ -60,12 +61,25 @@ inline void CacheSim::touch(uint64_t line, bool is_write, AccessResult& res) {
   victim->lru = ++use_stamp_;
 }
 
+namespace {
+
+/// Out of line and cold, so the throw stays off the access loops' hot path.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] void reject_wrapping_span(
+    const char* who) {
+  throw std::invalid_argument(std::string(who) + ": span wraps past 2^64");
+}
+
+}  // namespace
+
 AccessResult CacheSim::access(uint64_t vaddr, uint64_t bytes, bool is_write) {
   AccessResult res;
   if (bytes == 0) return res;
+  if (bytes - 1 > ~0ull - vaddr) reject_wrapping_span("CacheSim::access");
+  // Stop on `last` rather than past it: the top line's successor wraps.
   const uint64_t last = (vaddr + bytes - 1) >> line_shift_;
-  for (uint64_t ln = vaddr >> line_shift_; ln <= last; ++ln) {
+  for (uint64_t ln = vaddr >> line_shift_;; ++ln) {
     touch(ln, is_write, res);
+    if (ln == last) break;
   }
   add_to(stats_, res);
   return res;
@@ -75,14 +89,28 @@ AccessResult CacheSim::access_strided(uint64_t vaddr, uint64_t stride,
                                       uint32_t count, uint64_t elem_bytes,
                                       bool is_write) {
   AccessResult res;
-  if (elem_bytes == 0) return res;
-  uint64_t prev_line = ~0ull;
+  if (elem_bytes == 0 || count == 0) return res;
+  // Offset of the last element's last byte; the whole walk must end at or
+  // below 2^64 - 1.
+  uint64_t reach = 0;
+  if (__builtin_mul_overflow(static_cast<uint64_t>(count - 1), stride,
+                             &reach) ||
+      __builtin_add_overflow(reach, elem_bytes - 1, &reach) ||
+      reach > ~0ull - vaddr) {
+    reject_wrapping_span("CacheSim::access_strided");
+  }
+  // One below the first element's line, so that line is never taken for
+  // the one just touched.
+  uint64_t prev_line = (vaddr >> line_shift_) - 1;
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t a = vaddr + static_cast<uint64_t>(i) * stride;
     const uint64_t first = a >> line_shift_;
     const uint64_t last = (a + elem_bytes - 1) >> line_shift_;
     if (first == prev_line && last == prev_line) continue;
-    for (uint64_t ln = first; ln <= last; ++ln) touch(ln, is_write, res);
+    for (uint64_t ln = first;; ++ln) {
+      touch(ln, is_write, res);
+      if (ln == last) break;
+    }
     prev_line = last;
   }
   add_to(stats_, res);

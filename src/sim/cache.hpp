@@ -57,6 +57,8 @@ class CacheSim {
   explicit CacheSim(CacheConfig cfg = {});
 
   /// Touches [vaddr, vaddr + bytes); returns per-call hit/miss counts.
+  /// The span may end on the top byte (2^64 - 1); one that wraps past it
+  /// throws std::invalid_argument.
   AccessResult access(uint64_t vaddr, uint64_t bytes, bool is_write);
 
   /// Touches `count` elements of `elem_bytes` bytes spaced `stride` bytes
@@ -64,6 +66,8 @@ class CacheSim {
   /// line are coalesced into one line touch — the access pattern of a
   /// channel-strided NHWC gather (one LDRB per element, many per line when
   /// the stride is small, one line each when the stride exceeds the line).
+  /// Throws std::invalid_argument when the last element's span wraps past
+  /// 2^64 - 1.
   AccessResult access_strided(uint64_t vaddr, uint64_t stride, uint32_t count,
                               uint64_t elem_bytes, bool is_write);
 

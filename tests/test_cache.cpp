@@ -58,6 +58,44 @@ TEST(Cache, HighestTagIsNotAnInvalidWay) {
   }
 }
 
+TEST(Cache, SpanEndingOnTheTopByteTerminates) {
+  // With 1-byte lines the top byte is a line of its own, and the line after
+  // it wraps to line 0: the walk must stop on it, not past it.
+  for (const CacheConfig cfg : {CacheConfig{8, 1, 4}, CacheConfig{}}) {
+    const uint32_t one_byte = cfg.line_bytes == 1 ? 1u : 0u;
+    CacheSim c(cfg);
+    EXPECT_EQ(c.access(~0ull - 2, 3, true).lines, 1u + 2 * one_byte);
+    EXPECT_EQ(c.access(~0ull, 1, false).hits, 1u);
+    // A single element on the top byte is touched, not taken for the line
+    // before it.
+    EXPECT_EQ(c.access_strided(~0ull, 1, 1, 1, false).lines, 1u);
+    // Elements 2 bytes apart ending on the top byte: one line each with
+    // 1-byte lines, one line in all with 32-byte lines.
+    EXPECT_EQ(c.access_strided(~0ull - 6, 2, 4, 1, false).lines,
+              1u + 3 * one_byte);
+  }
+}
+
+TEST(Cache, RejectsSpanWrappingPast2To64) {
+  for (const CacheConfig cfg : {CacheConfig{8, 1, 4}, CacheConfig{}}) {
+    CacheSim c(cfg);
+    EXPECT_THROW((void)c.access(~0ull, 2, false), std::invalid_argument);
+    EXPECT_THROW((void)c.access(2, ~0ull, true), std::invalid_argument);
+    // The last element's end wraps; so does the element itself.
+    EXPECT_THROW((void)c.access_strided(~0ull - 3, 2, 3, 1, false),
+                 std::invalid_argument);
+    EXPECT_THROW((void)c.access_strided(~0ull, 0, 2, 2, false),
+                 std::invalid_argument);
+    // (count - 1) * stride overflows 64 bits.
+    EXPECT_THROW((void)c.access_strided(0, ~0ull, 3, 1, false),
+                 std::invalid_argument);
+    EXPECT_EQ(c.stats().accesses, 0u);
+    // Empty spans touch nothing wherever they start.
+    EXPECT_EQ(c.access(~0ull, 0, false).lines, 0u);
+    EXPECT_EQ(c.access_strided(~0ull, 8, 0, 4, false).lines, 0u);
+  }
+}
+
 TEST(Cache, ColdMissThenHit) {
   CacheSim c;
   auto r1 = c.access(0x1000, 4, false);

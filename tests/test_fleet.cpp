@@ -185,6 +185,31 @@ TEST(Fleet, RejectsWakeTablePricedForAnotherLadder) {
                std::invalid_argument);
 }
 
+TEST(Fleet, RejectsWakeTableBuiltForAnotherLadderOfTheSameSize) {
+  // The policy decides from the table's copy of the ladder, so a table of
+  // the right size built for other rungs must be rejected too.
+  const LadderPolicy ladder = make_synthetic_ladder(true, true);
+  const sim::SimParams sim;
+  std::vector<RungInfo> slower = ladder.rungs();
+  slower.back().t_us += 1.0;
+  const WakeTable other(slower, sim.switching, power::PowerModel(sim.power),
+                        sim.boot);
+  ASSERT_EQ(other.rung_count(), ladder.rungs().size());
+  EXPECT_FALSE(other.built_for(ladder.rungs()));
+  EXPECT_TRUE(other.built_for(slower));
+  MissionSpec spec;
+  spec.horizon_s = 60.0;
+  EXPECT_THROW((void)simulate_mission(spec, ladder, kSyntheticTBase, other),
+               std::invalid_argument);
+  // Names and slacks do not enter the table.
+  std::vector<RungInfo> renamed = ladder.rungs();
+  renamed.front().name = "renamed";
+  renamed.front().qos_slack = 0.9;
+  EXPECT_TRUE(WakeTable(renamed, sim.switching, power::PowerModel(sim.power),
+                        sim.boot)
+                  .built_for(ladder.rungs()));
+}
+
 TEST(Fleet, RejectsPopulatedClassWithoutPolicy) {
   const LadderPolicy ladder = make_synthetic_ladder(false);
   FleetSpec fleet = fleet_for_test(ladder, ladder);

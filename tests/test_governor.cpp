@@ -1,11 +1,14 @@
 // Adaptive schedule governor (governor/governor.hpp): ladder construction
 // from one DSE + one MCKP DP sweep, rung properties, the online
-// minimum-energy-under-deadline choice, and the wake-transition table the
-// choice reads against its source of truth (wake_transition).
+// minimum-energy-under-deadline choice, the wake-transition table the
+// choice reads against its source of truth (wake_transition), and the
+// indexed decision rule against the one-pass loop it replaced.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "clock/rcc.hpp"
 #include "core/schedule_builder.hpp"
@@ -160,23 +163,13 @@ TEST(Governor, ExactSimulationLadderMatchesFastLadder) {
 
 // ---- Wake-transition table vs its source of truth -------------------------
 
-/// The selection rule as it read before transitions were tabulated: every
-/// transition re-priced through wake_transition (nullopt = no transition),
-/// or the bare mux toggle at the entry's memory-stall power for a
-/// pre-locked (`free_wake`) wake.
-int reference_pick(const std::vector<scenario::RungInfo>& rungs,
-                   const sim::SimParams& sim, const scenario::FrameContext& ctx,
-                   const std::optional<clock::RccState>& wake,
-                   bool free_wake) {
+/// The decision rule as one pass over the ladder with four running minima,
+/// as scenario::select_rung computed it before the decision index: the
+/// source of truth the index is checked against.
+scenario::RungPick select_rung_reference(
+    const std::vector<scenario::RungInfo>& rungs, double deadline_us,
+    double budget_us, double cap_mhz, const scenario::TransitionCost* wake) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const power::PowerModel pm(sim.power);
-  double budget_us = kInf;
-  if (ctx.backlog > 0 && ctx.window_remaining_s >= 0.0) {
-    budget_us = ctx.window_remaining_s * 1e6 /
-                    (static_cast<double>(ctx.backlog) + 1.0) -
-                ctx.radio_us;
-  }
-  const double cap = ctx.max_sysclk_mhz;
   int best_budget = -1, best_deadline = -1, fastest = -1, coolest = -1;
   double be_budget = kInf, be_deadline = kInf, fastest_t = kInf;
   double coolest_mhz = kInf;
@@ -186,7 +179,51 @@ int reference_pick(const std::vector<scenario::RungInfo>& rungs,
       coolest_mhz = r.peak_mhz();
       coolest = static_cast<int>(i);
     }
-    if (cap > 0.0 && r.peak_mhz() > cap + 1e-9) continue;
+    if (cap_mhz > 0.0 && r.peak_mhz() > cap_mhz + 1e-9) continue;
+    const scenario::TransitionCost trans =
+        wake != nullptr ? wake[i] : scenario::TransitionCost{};
+    const double t = r.t_us + trans.us;
+    const double e = r.e_uj + trans.uj;
+    if (t < fastest_t) {
+      fastest_t = t;
+      fastest = static_cast<int>(i);
+    }
+    if (t <= deadline_us + 1e-9 && e < be_deadline) {
+      be_deadline = e;
+      best_deadline = static_cast<int>(i);
+    }
+    if (t <= std::min(deadline_us, budget_us) + 1e-9 && e < be_budget) {
+      be_budget = e;
+      best_budget = static_cast<int>(i);
+    }
+  }
+  if (best_budget >= 0) return {best_budget, scenario::kTierBudget};
+  if (best_deadline >= 0) return {best_deadline, scenario::kTierDeclared};
+  if (fastest >= 0) return {fastest, scenario::kTierFastest};
+  return {coolest, scenario::kTierCoolest};
+}
+
+::testing::AssertionResult same_pick(const scenario::RungPick& got,
+                                     const scenario::RungPick& want) {
+  if (got.rung == want.rung && got.tier == want.tier) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "picked rung " << got.rung << " tier " << got.tier
+         << ", reference rung " << want.rung << " tier " << want.tier;
+}
+
+/// The selection rule as it read before transitions were tabulated: every
+/// transition re-priced through wake_transition (nullopt = no transition),
+/// or the bare mux toggle at the entry's memory-stall power for a
+/// pre-locked (`free_wake`) wake, then the reference loop.
+int reference_pick(const std::vector<scenario::RungInfo>& rungs,
+                   const sim::SimParams& sim, const scenario::FrameContext& ctx,
+                   const std::optional<clock::RccState>& wake,
+                   bool free_wake) {
+  const power::PowerModel pm(sim.power);
+  std::vector<scenario::TransitionCost> costs;
+  for (const scenario::RungInfo& r : rungs) {
     scenario::TransitionCost trans;
     if (free_wake) {
       trans.us = sim.switching.mux_switch_us;
@@ -197,25 +234,17 @@ int reference_pick(const std::vector<scenario::RungInfo>& rungs,
     } else if (wake) {
       trans = scenario::wake_transition(*wake, r, sim.switching, pm);
     }
-    const double t = r.t_us + trans.us;
-    const double e = r.e_uj + trans.uj;
-    if (t < fastest_t) {
-      fastest_t = t;
-      fastest = static_cast<int>(i);
-    }
-    if (t <= ctx.deadline_us + 1e-9 && e < be_deadline) {
-      be_deadline = e;
-      best_deadline = static_cast<int>(i);
-    }
-    if (t <= std::min(ctx.deadline_us, budget_us) + 1e-9 && e < be_budget) {
-      be_budget = e;
-      best_budget = static_cast<int>(i);
-    }
+    costs.push_back(trans);
   }
-  if (best_budget >= 0) return best_budget;
-  if (best_deadline >= 0) return best_deadline;
-  if (fastest >= 0) return fastest;
-  return coolest;
+  double budget_us = std::numeric_limits<double>::infinity();
+  if (ctx.backlog > 0 && ctx.window_remaining_s >= 0.0) {
+    budget_us = ctx.window_remaining_s * 1e6 /
+                    (static_cast<double>(ctx.backlog) + 1.0) -
+                ctx.radio_us;
+  }
+  return select_rung_reference(rungs, ctx.deadline_us, budget_us,
+                               ctx.max_sysclk_mhz, costs.data())
+      .rung;
 }
 
 /// A frame context near the ladder's decision boundaries: the deadline
@@ -242,11 +271,13 @@ scenario::FrameContext random_context(
   return ctx;
 }
 
-/// The three pins of a WakeTable built for `policy`'s ladder under `sim`:
-/// (1) at most N + 1 + N² interned states, (2) every entry bit-equal to
+/// The pins of a WakeTable built for `policy`'s ladder under `sim`: (1) at
+/// most N + 1 + N² interned states, (2) every entry bit-equal to
 /// wake_transition / background_reposition_cost, (3) table-driven picks —
 /// choose() from every interned state, choose() from a bare previous rung,
-/// predict_next() — equal to the pre-table rule on random contexts.
+/// predict_next() — equal to the pre-table rule on random contexts, and
+/// (4) every decision-index row (each state, free wake, no transition)
+/// picking what the reference loop picks over that row's costs.
 /// `policy_sim` is what the ladder prices with; a table built under other
 /// parameters must still be read at the ladder's own prices.
 void expect_table_matches_source(const scenario::LadderPolicy& policy,
@@ -320,6 +351,22 @@ void expect_table_matches_source(const scenario::LadderPolicy& policy,
                   ? reference_pick(rungs, policy_sim, ctx, std::nullopt, true)
                   : -1)
         << "trial " << trial;
+
+    const double budget_us = scenario::catch_up_budget_us(
+        ctx.backlog, ctx.window_remaining_s, ctx.radio_us);
+    const auto expect_row = [&](std::size_t row,
+                                const scenario::TransitionCost* costs) {
+      EXPECT_TRUE(same_pick(
+          table.pick(row, ctx.deadline_us, budget_us, ctx.max_sysclk_mhz),
+          select_rung_reference(rungs, ctx.deadline_us, budget_us,
+                                ctx.max_sysclk_mhz, costs)))
+          << "trial " << trial << ", row " << row;
+    };
+    for (std::size_t id = 0; id < table.state_count(); ++id) {
+      expect_row(id, table.row(static_cast<int>(id)));
+    }
+    expect_row(table.free_row(), table.free_wake());
+    expect_row(table.no_transition_row(), nullptr);
   }
 }
 
@@ -363,6 +410,114 @@ TEST(WakeTable, MatchesWakeTransitionOnPdAndSyntheticLadders) {
       expect_table_matches_source(ladder, defaults, slow_relock);
     }
   }
+}
+
+/// A latency or energy from a small grid (ties), now and then +inf or NaN.
+double random_cost(double base, double step, scenario::SpecRng& rng) {
+  const double u = rng.unit();
+  if (u < 0.03) return std::numeric_limits<double>::infinity();
+  if (u < 0.05) return std::numeric_limits<double>::quiet_NaN();
+  return base + step * rng.upto(6);
+}
+
+/// A ladder of `n` rungs drawn to stress the decision rule's tie and edge
+/// cases: latencies and energies from random_cost, and legacy rungs
+/// (max_sysclk_mhz = 0, peak from the boundary clocks) mixed with explicit
+/// peaks.
+std::vector<scenario::RungInfo> random_ladder(int n, scenario::SpecRng& rng) {
+  const clock::ClockConfig clocks[] = {
+      clock::ClockConfig::hsi_direct(), clock::ClockConfig::hse_direct(50.0),
+      clock::ClockConfig::pll_hse(50.0, 25, 96, 2),
+      clock::ClockConfig::pll_hse(50.0, 25, 168, 2),
+      clock::ClockConfig::pll_hse(50.0, 25, 216, 2)};
+  const double peaks[] = {16.0, 50.0, 96.0, 168.0, 216.0};
+  std::vector<scenario::RungInfo> rungs;
+  for (int i = 0; i < n; ++i) {
+    scenario::RungInfo r;
+    r.name = "r" + std::to_string(i);
+    r.t_us = random_cost(1000.0, 100.0, rng);
+    r.e_uj = random_cost(500.0, 25.0, rng);
+    r.entry_hfo = clocks[rng.upto(5)];
+    r.exit_hfo = clocks[rng.upto(5)];
+    if (rng.coin()) r.max_sysclk_mhz = peaks[rng.upto(5)];
+    rungs.push_back(r);
+  }
+  return rungs;
+}
+
+/// A wake-cost row over `n` rungs: all zero, or costs from small grids so
+/// transitions create and break latency and energy ties.
+std::vector<scenario::TransitionCost> random_costs(int n, bool zero,
+                                                   scenario::SpecRng& rng) {
+  std::vector<scenario::TransitionCost> costs(static_cast<std::size_t>(n));
+  if (zero) return costs;
+  for (scenario::TransitionCost& c : costs) {
+    c.us = 50.0 * rng.upto(5);
+    c.uj = 12.5 * rng.upto(5);
+  }
+  return costs;
+}
+
+/// A bound near the ladder's latencies, or one of the non-finite values a
+/// caller can pass (NaN, +inf, -inf).
+double random_bound(scenario::SpecRng& rng) {
+  const int kind = rng.upto(10);
+  if (kind == 0) return std::numeric_limits<double>::quiet_NaN();
+  if (kind == 1) return std::numeric_limits<double>::infinity();
+  if (kind == 2) return -std::numeric_limits<double>::infinity();
+  if (kind == 3) return 1000.0 + 50.0 * rng.upto(40);  // on a latency grid
+  return rng.range(800.0, 3000.0);
+}
+
+/// A thermal cap that bars none, some or all rungs of the ladder, sits on a
+/// rung's peak, or is off (0, negative, NaN).
+double random_cap(const std::vector<scenario::RungInfo>& rungs,
+                  scenario::SpecRng& rng) {
+  switch (rng.upto(8)) {
+    case 0: return 0.0;
+    case 1: return -50.0;
+    case 2: return std::numeric_limits<double>::quiet_NaN();
+    case 3: return 1000.0;  // bars none
+    case 4: return 1.0;     // bars all
+    case 5: return std::numeric_limits<double>::infinity();
+    case 6:
+      return rungs[static_cast<std::size_t>(
+                       rng.upto(static_cast<int>(rungs.size())))]
+          .peak_mhz();
+    default: return rng.range(10.0, 230.0);
+  }
+}
+
+TEST(SelectRung, MatchesReferenceLoopOnSeededLadders) {
+  scenario::SpecRng rng(0x5e1ec7ULL);
+  int tiers[4] = {0, 0, 0, 0};
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int n = 1 + trial % 12;
+    const std::vector<scenario::RungInfo> rungs = random_ladder(n, rng);
+    const std::vector<scenario::TransitionCost> zero =
+        random_costs(n, true, rng);
+    const std::vector<scenario::TransitionCost> costs =
+        random_costs(n, false, rng);
+    for (int q = 0; q < 8; ++q) {
+      const double deadline = random_bound(rng);
+      const double budget = rng.coin() ? std::numeric_limits<double>::infinity()
+                                       : random_bound(rng);
+      const double cap = random_cap(rungs, rng);
+      for (const scenario::TransitionCost* wake :
+           {static_cast<const scenario::TransitionCost*>(nullptr),
+            zero.data(), costs.data()}) {
+        const scenario::RungPick want =
+            select_rung_reference(rungs, deadline, budget, cap, wake);
+        ASSERT_TRUE(same_pick(
+            scenario::select_rung(rungs, deadline, budget, cap, wake), want))
+            << "trial " << trial << " (" << n << " rungs), deadline "
+            << deadline << ", budget " << budget << ", cap " << cap;
+        ++tiers[want.tier];
+      }
+    }
+  }
+  // Every fallback tier was exercised.
+  for (int tier = 0; tier < 4; ++tier) EXPECT_GT(tiers[tier], 0) << tier;
 }
 
 }  // namespace
