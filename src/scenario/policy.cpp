@@ -173,7 +173,11 @@ RungPick RungIndex::pick(std::size_t row, double deadline_us,
   const double deadline = deadline_us + 1e-9;
   const double budget = std::min(deadline_us, budget_us) + 1e-9;
   // budget <= deadline (or both NaN), so the budget's prefix is a prefix of
-  // the deadline's.
+  // the deadline's. A cap that bars nothing takes the prefix-best walk: it
+  // compares latencies only, and it is every frame of a mission without
+  // thermal derating. The skip-barred walk below answers the same for such
+  // frames, but runs the fleet workload about 16% slower (docs/perf.md,
+  // "Indexed rung decisions").
   if (!(cap_mhz > 0.0 && max_peak_ > cap_mhz + 1e-9)) {
     std::size_t k = 0;
     while (k < n && s[k].t <= budget) ++k;

@@ -301,6 +301,9 @@ class WakeTable {
   int intern(const clock::RccState& w);
 
   std::vector<RungInfo> ladder_;  ///< What built_for() compares against.
+  /// ladder_.size(), kept as a field: dropping it moved perfbench's serve
+  /// query pool onto a slow page offset (docs/perf.md, "Indexed rung
+  /// decisions").
   std::size_t rungs_ = 0;
   clock::SwitchCostParams switching_;
   power::PowerModelParams power_;
